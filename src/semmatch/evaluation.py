@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .index import ProductIndex, embed_query, rank_all
+from .index import ProductIndex, _embed_texts, embed_query, positions, rank_all
 from .model import EmbeddingModel
 from .synth import LogRecord
 from .tokenizer import TokenizerConfig, Vocabulary
@@ -113,8 +113,13 @@ def run_matching_eval(
     k: int = 100,
     map_cutoff: int | None = None,
 ) -> MetricReport:
-    """Rank the whole corpus per query; purchased items are the relevant set."""
+    """Rank the whole corpus per query; purchased items are the relevant set.
+
+    Recall@k and AP@cutoff read the head of the ranking; NDCG and MRR over the
+    full ranking need only each purchased product's position in it.
+    """
     cutoff = map_cutoff if map_cutoff is not None else k
+    row_of = {pid: i for i, pid in enumerate(index.ids)}
     report = MetricReport()
     for q in queries:
         relevant = set(q.purchased)
@@ -122,15 +127,19 @@ def run_matching_eval(
             report.skipped += 1
             continue
         qvec = embed_query(q.text, model, vocab, config)
-        _, order = rank_all(qvec, index)
-        ranked = [index.ids[i] for i in order]
-        gains = {pid: 1.0 for pid in relevant}
+        scores, head = rank_all(qvec, index, max(k, cutoff))
+        ranked_head = [index.ids[i] for i in head]
+        # Purchased products missing from the index count in the IDCG only.
+        rows = np.array([row_of[pid] for pid in relevant if pid in row_of], dtype=np.intp)
+        ranks = sorted(positions(scores, rows, index).tolist())
+        dcg = sum(1.0 / math.log2(rank + 1) for rank in ranks)
+        idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, len(relevant) + 1))
         report.add(
             {
-                "recall": recall_at_k(ranked, relevant, k),
-                "map": average_precision(ranked, relevant, cutoff),
-                "matching_ndcg": ndcg(ranked, gains),
-                "matching_mrr": mrr(ranked, relevant),
+                "recall": recall_at_k(ranked_head, relevant, k),
+                "map": average_precision(ranked_head, relevant, cutoff),
+                "matching_ndcg": dcg / idcg,
+                "matching_mrr": 1.0 / ranks[0] if ranks else 0.0,
             }
         )
     report.finalize()
@@ -152,8 +161,6 @@ def run_ranking_eval(
             continue
         candidates = sorted(set(q.purchased) | q.impressed)
         qvec = embed_query(q.text, model, vocab, config)
-        from .index import _embed_texts  # candidate embeddings, inference phase
-
         cand_matrix = _embed_texts(
             [product_texts[pid] for pid in candidates], "product", model, vocab, config
         )

@@ -25,6 +25,7 @@ _NORM_NAMES = {v: k for k, v in _NORM_CODES.items()}
 
 _CKPT_MAGIC = b"SMMODEL1"
 _CKPT_VERSION = 1
+_CKPT_HEADER = struct.Struct("<IQQIIdd")
 
 
 @dataclass(frozen=True)
@@ -389,8 +390,7 @@ def save_model(model: EmbeddingModel, f: BinaryIO) -> None:
     flags = (1 if cfg.shared_embeddings else 0) | (_NORM_CODES[cfg.normalization] << 1)
     f.write(_CKPT_MAGIC)
     f.write(
-        struct.pack(
-            "<IQQIIdd",
+        _CKPT_HEADER.pack(
             _CKPT_VERSION,
             model.vocab_v,
             model.oov_bins,
@@ -412,13 +412,16 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
     magic = f.read(8)
     if magic != _CKPT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
-    version, v, bins, n, flags, momentum, epsilon = struct.unpack(
-        "<IQQIIdd", f.read(struct.calcsize("<IQQIIdd"))
-    )
+    header = f.read(_CKPT_HEADER.size)
+    if len(header) != _CKPT_HEADER.size:
+        raise ValueError("truncated checkpoint")
+    version, v, bins, n, flags, momentum, epsilon = _CKPT_HEADER.unpack(header)
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     shared = bool(flags & 1)
-    norm = _NORM_NAMES[(flags >> 1) & 0b11]
+    norm = _NORM_NAMES.get((flags >> 1) & 0b11)
+    if norm is None:
+        raise ValueError(f"unknown normalization code in checkpoint flags {flags}")
     cfg = ModelConfig(
         embedding_dim=n,
         shared_embeddings=shared,

@@ -137,6 +137,26 @@ class TestErrors:
         assert run(["gen-synthetic", "--config", bad, "--out", tmp_path / "d"]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_truncated_index_exits_one(self, workspace, capsys):
+        tmp, cfg = workspace
+        data, vocab, recs = tmp / "data", tmp / "vocab.txt", tmp / "recs.bin"
+        model, index = tmp / "model.bin", tmp / "index.bin"
+        assert run(["gen-synthetic", "--config", cfg, "--out", data]) == 0
+        assert run(["build-vocab", "--input", data / "logs.tsv", "--config", cfg, "--out", vocab]) == 0
+        assert run(["preprocess", "--input", data / "logs.tsv", "--vocab", vocab,
+                    "--config", cfg, "--out", recs]) == 0
+        assert run(["train", "--records", recs, "--vocab", vocab, "--config", cfg, "--out", model]) == 0
+        assert run(["embed-products", "--catalog", data / "catalog.tsv", "--model", model,
+                    "--vocab", vocab, "--config", cfg, "--out", index]) == 0
+        blob = index.read_bytes()
+        for cut in (20, 300, len(blob) // 2, len(blob) - 1):
+            index.write_bytes(blob[:cut])
+            capsys.readouterr()
+            assert run(["query", "--text", "red shoe", "--index", index, "--model", model,
+                        "--vocab", vocab, "--config", cfg]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert [line for line in err if not line.startswith("config: ")] == ["error: truncated index"]
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

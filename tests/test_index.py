@@ -5,7 +5,9 @@ import io
 import numpy as np
 import pytest
 
+from semmatch import index as index_mod
 from semmatch.index import (
+    _embed_texts,
     build_index,
     embed_query,
     load_index,
@@ -57,6 +59,17 @@ class TestBuildIndex:
         _, model, index = setup
         assert index.fingerprint == model_fingerprint(model)
 
+    @pytest.mark.parametrize("norm", ["none", "batch", "layer"])
+    def test_blocked_embedding_bitwise(self, setup, monkeypatch, norm):
+        vocab, _, _ = setup
+        cfg = ModelConfig(embedding_dim=16, shared_embeddings=True, normalization=norm)
+        model = init_model(vocab.v, vocab.oov_bins, cfg, np.random.default_rng(1))
+        texts = [text for _, text in CATALOG] * 3 + ["", "warm red"]
+        whole = _embed_texts(texts, "product", model, vocab, TC)
+        monkeypatch.setattr(index_mod, "_EMBED_BLOCK", 4)
+        blocked = _embed_texts(texts, "product", model, vocab, TC)
+        assert blocked.tobytes() == whole.tobytes()
+
     def test_empty_text_embeds_zero(self, setup):
         vocab, model, _ = setup
         index = build_index([("PX", "")], model, vocab, TC)
@@ -70,7 +83,7 @@ class TestRanking:
         for _ in range(20):
             qvec = rng.normal(size=model.n)
             qvec /= np.linalg.norm(qvec)
-            scores, order = rank_all(qvec, index)
+            scores, order = rank_all(qvec, index, len(index.ids))
             ranked = [index.ids[i] for i in order]
             oracle = sorted(
                 range(len(index.ids)),
@@ -81,7 +94,7 @@ class TestRanking:
     def test_tie_breaks_by_id(self, setup):
         vocab, model, index = setup
         # A zero query vector ties every product at score 0.
-        scores, order = rank_all(np.zeros(model.n), index)
+        scores, order = rank_all(np.zeros(model.n), index, len(index.ids))
         assert [index.ids[i] for i in order] == sorted(index.ids)
 
     def test_top_k_threshold_filters(self, setup):
@@ -142,6 +155,17 @@ class TestIndexFile:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             load_index(io.BytesIO(b"NOTINDEX" + b"\x00" * 40))
+
+    def test_truncated_or_padded_rejected(self, setup):
+        _, _, index = setup
+        buf = io.BytesIO()
+        save_index(index, buf)
+        blob = buf.getvalue()
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                load_index(io.BytesIO(blob[:cut]))
+        with pytest.raises(ValueError):
+            load_index(io.BytesIO(blob + b"\0"))
 
     def test_roundtrip_preserves_ranking(self, setup):
         vocab, model, index = setup

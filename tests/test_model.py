@@ -2,6 +2,7 @@
 against finite differences, and checkpoint round-trips."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -315,8 +316,15 @@ class TestCheckpoint:
 
     def test_truncated_rejected(self):
         blob = serialize_model(make_model())
-        with pytest.raises(ValueError):
-            load_model(io.BytesIO(blob[: len(blob) // 2]))
+        for cut in (12, 30, 51, len(blob) // 2, len(blob) - 1):  # the header is bytes 8..52
+            with pytest.raises(ValueError):
+                load_model(io.BytesIO(blob[:cut]))
+
+    def test_unknown_norm_code_rejected(self):
+        blob = bytearray(serialize_model(make_model()))
+        blob[32:36] = struct.pack("<I", 3 << 1)  # flags: normalization code 3
+        with pytest.raises(ValueError, match="normalization"):
+            load_model(io.BytesIO(bytes(blob)))
 
     def test_save_load_file_roundtrip(self, tmp_path):
         model = make_model(norm="batch", seed=9)
