@@ -109,9 +109,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         model = load_model(f)
     with open(args.index, "rb") as f:
         idx = index_mod.load_index(f)
-    result = index_mod.top_k(
-        args.text, idx, model, vocab, cfg.tokenizer, args.k, args.threshold
-    )
+    k = args.k if args.k is not None else cfg.eval_k
+    threshold = args.threshold if args.threshold is not None else cfg.eval_threshold
+    result = index_mod.top_k(args.text, idx, model, vocab, cfg.tokenizer, k, threshold)
     for pid, score in result.items:
         print(f"{pid}\t{score:.6f}")
     return 0
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=0.55)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("evaluate", help="run matching/ranking evaluation")

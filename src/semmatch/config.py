@@ -1,96 +1,21 @@
-"""Line-oriented `key = value` run configuration shared by all subcommands."""
+"""Line-oriented `key = value` run configuration shared by all subcommands.
 
-from __future__ import annotations
+The dataclasses are the schema: a key is `<section>.<field>` or its rename,
+parsed by the field's type and defaulted by the dataclass. `seed` seeds every
+section, and each entry of a dict field is a key: `tokenizer.budget.<class>`.
+"""
 
-from dataclasses import dataclass
+import dataclasses
+import typing
 
 from .losses import LossSpec
 from .model import ModelConfig
 from .synth import SynthConfig
-from .tokenizer import CHAR_TRIGRAM, UNIGRAM, TokenizerConfig, ngram_class
+from .tokenizer import TokenizerConfig, is_token_class
 from .training import TrainConfig
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-def _parse_int_list(s: str) -> tuple[int, ...]:
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(int(x) for x in s.split(","))
-
-
-# key -> parser; None values mean "leave unset".
-_KNOWN_KEYS = {
-    "seed": int,
-    "tokenizer.lowercase": _parse_bool,
-    "tokenizer.unigrams": _parse_bool,
-    "tokenizer.ngram_orders": _parse_int_list,
-    "tokenizer.char_trigrams": _parse_bool,
-    "tokenizer.budget.unigram": int,
-    "tokenizer.budget.ngram2": int,
-    "tokenizer.budget.ngram3": int,
-    "tokenizer.budget.ctri": int,
-    "tokenizer.oov_bins": int,
-    "tokenizer.query_max_tokens": int,
-    "tokenizer.product_max_tokens": int,
-    "model.embedding_dim": int,
-    "model.shared": _parse_bool,
-    "model.normalization": str,
-    "model.bn_momentum": float,
-    "model.bn_epsilon": float,
-    "loss.kind": str,
-    "loss.m": int,
-    "loss.eps_plus": float,
-    "loss.eps_minus": float,
-    "loss.eps_zero": float,
-    "train.batch_size": int,
-    "train.alpha": float,
-    "train.beta1": float,
-    "train.beta2": float,
-    "train.epsilon": float,
-    "train.epochs": int,
-    "train.shuffle": _parse_bool,
-    "synth.concepts": int,
-    "synth.synonyms": int,
-    "synth.products": int,
-    "synth.queries": int,
-    "synth.eval_queries": int,
-    "synth.typo_rate": float,
-    "synth.morph_rate": float,
-    "synth.impressed_per_purchase": int,
-    "synth.concepts_per_product": int,
-    "synth.query_concepts": int,
-    "synth.phrase_pairs": int,
-    "eval.k": int,
-    "eval.threshold": float,
-}
-
-
-def parse_config_file(path: str) -> dict[str, object]:
-    values: dict[str, object] = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _KNOWN_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _KNOWN_KEYS[key](value)
-    return values
-
-
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     tokenizer: TokenizerConfig
     model: ModelConfig
@@ -102,108 +27,92 @@ class RunConfig:
     eval_threshold: float = 0.55
 
     def resolved_lines(self) -> list[str]:
-        """Fully resolved config, one `key = value` line per setting."""
-        t, m, l, tr, s = self.tokenizer, self.model, self.loss, self.train, self.synth
-        pairs = [
-            ("seed", self.seed),
-            ("tokenizer.lowercase", t.lowercase),
-            ("tokenizer.unigrams", t.use_unigrams),
-            ("tokenizer.ngram_orders", ",".join(map(str, t.ngram_orders))),
-            ("tokenizer.char_trigrams", t.use_char_trigrams),
-            ("tokenizer.oov_bins", t.oov_bins),
-            ("tokenizer.query_max_tokens", t.query_max_tokens),
-            ("tokenizer.product_max_tokens", t.product_max_tokens),
-            ("model.embedding_dim", m.embedding_dim),
-            ("model.shared", m.shared_embeddings),
-            ("model.normalization", m.normalization),
-            ("loss.kind", l.kind),
-            ("loss.m", l.m),
-            ("loss.eps_plus", l.eps_plus),
-            ("loss.eps_minus", l.eps_minus),
-            ("loss.eps_zero", l.eps_zero),
-            ("train.batch_size", tr.batch_size),
-            ("train.epochs", tr.epochs),
-            ("train.shuffle", tr.shuffle),
-            ("eval.k", self.eval_k),
-            ("eval.threshold", self.eval_threshold),
-        ]
-        pairs.extend(
-            (f"tokenizer.budget.{cls}", t.budget_per_class.get(cls))
-            for cls in t.budget_per_class
-        )
-        return [f"{k} = {v}" for k, v in pairs]
+        """Every set value as a `key = value` line; they load back to an equal RunConfig."""
+        lines = []
+        for key, (section, name, _) in _KEYS.items():
+            value = getattr(getattr(self, section) if section else self, name)
+            if isinstance(value, dict):
+                lines += [f"{key}.{entry} = {v}" for entry, v in value.items()]
+            elif isinstance(value, tuple):
+                lines.append(f"{key} = {','.join(map(str, value))}")
+            elif value is not None:
+                lines.append(f"{key} = {value}")
+        return lines
+
+
+def _parse_bool(s: str) -> bool:
+    if s.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"not a boolean: {s!r}")
+    return s.lower() in ("true", "1", "yes")
+
+
+# Parser by field type, where the type is not its own; dict entries parse as values.
+_PARSERS = {bool: _parse_bool, int | None: int, dict[str, int]: int,
+            tuple[int, ...]: lambda s: tuple(int(x) for x in s.split(",")) if s.strip() else ()}
+_RENAMES = {
+    "tokenizer.use_unigrams": "tokenizer.unigrams",
+    "tokenizer.use_char_trigrams": "tokenizer.char_trigrams",
+    "tokenizer.budget_per_class": "tokenizer.budget",
+    "model.shared_embeddings": "model.shared",
+    "synth.synonyms_per_concept": "synth.synonyms",
+    "eval_k": "eval.k",
+    "eval_threshold": "eval.threshold",
+}
+
+# Section name -> dataclass; section "" is RunConfig itself.
+_SECTIONS = {"": RunConfig} | {
+    name: cls for name, cls in typing.get_type_hints(RunConfig).items() if dataclasses.is_dataclass(cls)
+}
+_HINTS = {section: typing.get_type_hints(cls) for section, cls in _SECTIONS.items()}
+# Key -> (section, field, field type). Only RunConfig's own `seed` is a key.
+_KEYS = {
+    _RENAMES.get(key, key): (section, f.name, _HINTS[section][f.name])
+    for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    if f.name not in _SECTIONS and not (section and f.name == "seed")
+    for key in [f"{section}.{f.name}".lstrip(".")]
+}
+
+
+def _lookup(key: str) -> tuple[str, str, object, str | None]:
+    """(section, field, field type, dict entry or None) for a key."""
+    head, _, entry = key.rpartition(".")
+    if key in _KEYS and typing.get_origin(_KEYS[key][2]) is not dict:
+        return *_KEYS[key], None
+    if head in _KEYS and typing.get_origin(_KEYS[head][2]) is dict and is_token_class(entry):
+        return *_KEYS[head], entry
+    raise ValueError("unknown config key")
+
+
+def parse_config_file(path: str) -> dict[str, object]:
+    values: dict[str, object] = {}
+    with open(path) as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected `key = value`")
+            key, value = (part.strip() for part in line.split("=", 1))
+            try:
+                ftype = _lookup(key)[2]
+                values[key] = _PARSERS.get(ftype, ftype)(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    return values
 
 
 def build_run_config(values: dict[str, object]) -> RunConfig:
-    seed = int(values.get("seed", 0))
-
-    budgets: dict[str, int] = {}
-    for cls_key, cls in (
-        ("tokenizer.budget.unigram", UNIGRAM),
-        ("tokenizer.budget.ngram2", ngram_class(2)),
-        ("tokenizer.budget.ngram3", ngram_class(3)),
-        ("tokenizer.budget.ctri", CHAR_TRIGRAM),
-    ):
-        if cls_key in values:
-            budgets[cls] = values[cls_key]
-    tokenizer = TokenizerConfig(
-        lowercase=values.get("tokenizer.lowercase", True),
-        use_unigrams=values.get("tokenizer.unigrams", True),
-        ngram_orders=values.get("tokenizer.ngram_orders", ()),
-        use_char_trigrams=values.get("tokenizer.char_trigrams", False),
-        budget_per_class=budgets,
-        oov_bins=values.get("tokenizer.oov_bins", 0),
-        query_max_tokens=values.get("tokenizer.query_max_tokens"),
-        product_max_tokens=values.get("tokenizer.product_max_tokens"),
-    )
-    model = ModelConfig(
-        embedding_dim=values.get("model.embedding_dim", 256),
-        shared_embeddings=values.get("model.shared", True),
-        normalization=values.get("model.normalization", "batch"),
-        bn_momentum=values.get("model.bn_momentum", 0.99),
-        bn_epsilon=values.get("model.bn_epsilon", 1e-5),
-    )
-    loss = LossSpec(
-        kind=values.get("loss.kind", "hinge3"),
-        m=values.get("loss.m", 2),
-        eps_plus=values.get("loss.eps_plus", 0.9),
-        eps_minus=values.get("loss.eps_minus", 0.2),
-        eps_zero=values.get("loss.eps_zero", 0.55),
-    )
-    train = TrainConfig(
-        batch_size=values.get("train.batch_size", 256),
-        alpha=values.get("train.alpha", 0.001),
-        beta1=values.get("train.beta1", 0.9),
-        beta2=values.get("train.beta2", 0.999),
-        epsilon=values.get("train.epsilon", 1e-8),
-        epochs=values.get("train.epochs", 10),
-        seed=seed,
-        shuffle=values.get("train.shuffle", True),
-    )
-    synth = SynthConfig(
-        concepts=values.get("synth.concepts", 100),
-        synonyms_per_concept=values.get("synth.synonyms", 3),
-        products=values.get("synth.products", 10_000),
-        queries=values.get("synth.queries", 2_000),
-        eval_queries=values.get("synth.eval_queries", 400),
-        typo_rate=values.get("synth.typo_rate", 0.0),
-        morph_rate=values.get("synth.morph_rate", 0.0),
-        impressed_per_purchase=values.get("synth.impressed_per_purchase", 4),
-        concepts_per_product=values.get("synth.concepts_per_product", 3),
-        query_concepts=values.get("synth.query_concepts", 2),
-        phrase_pairs=values.get("synth.phrase_pairs", 0),
-        seed=seed,
-    )
-    return RunConfig(
-        tokenizer=tokenizer,
-        model=model,
-        loss=loss,
-        train=train,
-        synth=synth,
-        seed=seed,
-        eval_k=values.get("eval.k", 100),
-        eval_threshold=values.get("eval.threshold", 0.55),
-    )
+    """Each section gets only the keys the file sets, so every default is its dataclass's."""
+    seed = {"seed": values["seed"]} if "seed" in values else {}
+    kwargs = {section: dict(seed) if "seed" in _HINTS[section] else {} for section in _SECTIONS}
+    for key, value in values.items():
+        section, name, _, entry = _lookup(key)
+        if entry is None:
+            kwargs[section][name] = value
+        else:
+            kwargs[section].setdefault(name, {})[entry] = value
+    return RunConfig(**kwargs[""], **{s: cls(**kwargs[s]) for s, cls in _SECTIONS.items() if s})
 
 
 def load_run_config(path: str) -> RunConfig:

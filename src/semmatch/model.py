@@ -377,10 +377,7 @@ def _write_array(f: BinaryIO, a: np.ndarray) -> None:
 
 
 def _read_array(f: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape))
-    buf = f.read(count * 8)
-    if len(buf) != count * 8:
-        raise ValueError("truncated checkpoint")
+    buf = f.read(8 * int(np.prod(shape)))
     return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
 
@@ -409,6 +406,8 @@ def save_model(model: EmbeddingModel, f: BinaryIO) -> None:
 
 
 def load_model(f: BinaryIO) -> EmbeddingModel:
+    """Read a checkpoint written by save_model. A file shorter or longer than
+    its header implies raises ValueError."""
     magic = f.read(8)
     if magic != _CKPT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
@@ -430,6 +429,14 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
         bn_epsilon=epsilon,
     )
     rows = v + bins + 1
+    size = 8 * (rows * n * (1 if shared else 2) + 8 * n)
+    start = f.tell()
+    present = f.seek(0, io.SEEK_END) - start
+    f.seek(start)
+    if present < size:
+        raise ValueError("truncated checkpoint")
+    if present > size:
+        raise ValueError("checkpoint size does not match its header")
     qm = _read_array(f, (rows, n))
     pm = qm if shared else _read_array(f, (rows, n))
     states = []

@@ -31,6 +31,14 @@ def ngram_class(n: int) -> str:
     return f"ngram{n}"
 
 
+def is_token_class(name: str) -> bool:
+    """Whether ``name`` names a token class: unigram, ctri or ngram<n>, n >= 2."""
+    order = name.removeprefix("ngram")
+    return name in (UNIGRAM, CHAR_TRIGRAM) or (
+        order.isdecimal() and int(order) >= 2 and name == ngram_class(int(order))
+    )
+
+
 def _class_tag(token_class: str) -> int:
     if token_class == UNIGRAM:
         return 0x01
@@ -80,13 +88,6 @@ class TokenizerConfig:
         if budget <= 0:
             raise ValueError(f"missing or non-positive budget for {token_class}")
         return budget
-
-    def max_tokens(self, side: str) -> int | None:
-        if side == "query":
-            return self.query_max_tokens
-        if side == "product":
-            return self.product_max_tokens
-        raise ValueError(f"side must be 'query' or 'product', got {side!r}")
 
 
 def word_unigrams(text: str, config: TokenizerConfig) -> list[str]:
@@ -176,6 +177,19 @@ class Vocabulary:
         """Embedding rows needed: reserved 0, V in-vocab, B bins."""
         return self.v + self.oov_bins + 1
 
+    def max_tokens(self, side: str, config: TokenizerConfig) -> int:
+        """The bag length of a side: the config's, else the one derived when
+        the vocabulary was built."""
+        if side == "query":
+            max_len = config.query_max_tokens or self.derived_query_max
+        elif side == "product":
+            max_len = config.product_max_tokens or self.derived_product_max
+        else:
+            raise ValueError(f"side must be 'query' or 'product', got {side!r}")
+        if max_len is None:
+            raise ValueError(f"no max token length available for side {side!r}")
+        return max_len
+
 
 @dataclass
 class TokenBag:
@@ -245,13 +259,7 @@ def encode(
     text: str, side: str, vocab: Vocabulary, config: TokenizerConfig
 ) -> TokenBag:
     """Map text to a fixed-length TokenBag for the given side."""
-    max_len = config.max_tokens(side)
-    if max_len is None:
-        max_len = (
-            vocab.derived_query_max if side == "query" else vocab.derived_product_max
-        )
-    if max_len is None:
-        raise ValueError(f"no max token length available for side {side!r}")
+    max_len = vocab.max_tokens(side, config)
     ids = [vocab.id_for(c, t) for c, t in tokenize(text, config)]
     ids = ids[:max_len]
     out = np.zeros(max_len, dtype=np.int64)
@@ -260,17 +268,23 @@ def encode(
 
 
 def save_vocabulary(vocab: Vocabulary, f: TextIO) -> None:
-    f.write(f"V={vocab.v} B={vocab.oov_bins}\n")
+    """The header carries the derived max token lengths only when there are some."""
+    header = f"V={vocab.v} B={vocab.oov_bins}"
+    if vocab.derived_query_max is not None:
+        header += f" query_max={vocab.derived_query_max}"
+    if vocab.derived_product_max is not None:
+        header += f" product_max={vocab.derived_product_max}"
+    f.write(header + "\n")
     for (token_class, token), tid in sorted(vocab.token_to_id.items(), key=lambda kv: kv[1]):
         f.write(f"{token_class}\t{token}\t{tid}\n")
 
 
 def load_vocabulary(f: TextIO) -> Vocabulary:
     header = f.readline().strip()
-    m = re.fullmatch(r"V=(\d+) B=(\d+)", header)
+    m = re.fullmatch(r"V=(\d+) B=(\d+)(?: query_max=([1-9]\d*))?(?: product_max=([1-9]\d*))?", header)
     if m is None:
         raise ValueError(f"bad vocabulary header: {header!r}")
-    v, bins = int(m.group(1)), int(m.group(2))
+    v, bins, derived_q, derived_p = (None if g is None else int(g) for g in m.groups())
     token_to_id: dict[tuple[str, str], int] = {}
     class_counts: Counter = Counter()
     for line in f:
@@ -287,4 +301,6 @@ def load_vocabulary(f: TextIO) -> Vocabulary:
         v=v,
         oov_bins=bins,
         class_counts=dict(class_counts),
+        derived_query_max=derived_q,
+        derived_product_max=derived_p,
     )

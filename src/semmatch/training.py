@@ -3,6 +3,7 @@ lazy sparse ADAM, and the epoch loop."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable
@@ -41,19 +42,24 @@ def write_records(
 
 
 def read_records(path: str) -> tuple[int, int, np.ndarray]:
-    """Returns (query_max, product_max, structured record array)."""
+    """Returns (query_max, product_max, structured record array). A file
+    shorter or longer than its header implies raises ValueError."""
     with open(path, "rb") as f:
         if f.read(8) != _REC_MAGIC:
             raise ValueError("not a record file (bad magic)")
-        version, qmax, pmax, count = struct.unpack(
-            _HEADER_FMT, f.read(struct.calcsize(_HEADER_FMT))
-        )
+        header = f.read(struct.calcsize(_HEADER_FMT))
+        if len(header) != struct.calcsize(_HEADER_FMT):
+            raise ValueError("truncated record file")
+        version, qmax, pmax, count = struct.unpack(_HEADER_FMT, header)
         if version != _REC_VERSION:
             raise ValueError(f"unsupported record-file version {version}")
         dt = record_dtype(qmax, pmax)
+        present = os.fstat(f.fileno()).st_size - f.tell()
+        if present < count * dt.itemsize:
+            raise ValueError("truncated record file")
+        if present > count * dt.itemsize:
+            raise ValueError("record file size does not match its header")
         data = np.fromfile(f, dtype=dt, count=count)
-    if len(data) != count:
-        raise ValueError("truncated record file")
     return qmax, pmax, data
 
 
@@ -77,10 +83,7 @@ def preprocess_logs(
     if not weights:
         raise ValueError("no usable log rows to preprocess")
 
-    qmax = config.max_tokens("query") or vocab.derived_query_max
-    pmax = config.max_tokens("product") or vocab.derived_product_max
-    if qmax is None or pmax is None:
-        raise ValueError("query/product max token lengths are not available")
+    qmax, pmax = vocab.max_tokens("query", config), vocab.max_tokens("product", config)
 
     query_bags: dict[str, np.ndarray] = {}
     product_bags: dict[str, np.ndarray] = {}

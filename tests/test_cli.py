@@ -1,11 +1,18 @@
 """End-to-end CLI pipeline tests."""
 
+import dataclasses
 import os
+import struct
 
 import pytest
 
 from semmatch.cli import main
-from semmatch.config import load_run_config, parse_config_file
+from semmatch.config import RunConfig, load_run_config, parse_config_file
+from semmatch.losses import LossSpec
+from semmatch.model import ModelConfig
+from semmatch.synth import SynthConfig
+from semmatch.tokenizer import TokenizerConfig
+from semmatch.training import TrainConfig
 
 CONFIG = """\
 # small end-to-end run
@@ -36,8 +43,70 @@ def workspace(tmp_path):
     return tmp_path, str(cfg)
 
 
+# The test-suite config without max token lengths, so build-vocab derives them,
+# and with eval.k and eval.threshold for `query` to default to.
+DERIVED_CONFIG = "".join(
+    line + "\n" for line in CONFIG.splitlines() if "_max_tokens" not in line and "eval." not in line
+) + "eval.k = 3\neval.threshold = -1.0\n"
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "load.cfg"
+    path.write_text(text)
+    return load_run_config(str(path))
+
+
+def full_config():
+    """A RunConfig with every field away from its default."""
+    return RunConfig(
+        tokenizer=TokenizerConfig(
+            lowercase=False, use_unigrams=False, ngram_orders=(2, 4), use_char_trigrams=True,
+            budget_per_class={"ngram2": 5, "ngram4": 6, "ctri": 7}, oov_bins=9,
+            query_max_tokens=5, product_max_tokens=7,
+        ),
+        model=ModelConfig(embedding_dim=8, shared_embeddings=False, normalization="layer",
+                          bn_momentum=0.9, bn_epsilon=1e-3),
+        loss=LossSpec(kind="hinge2", m=1, eps_plus=0.8, eps_minus=0.1, eps_zero=0.5),
+        train=TrainConfig(batch_size=32, alpha=0.01, beta1=0.8, beta2=0.99, epsilon=1e-7, epochs=3,
+                          seed=5, shuffle=False, impressed_per_purchase=2, random_per_purchase=3),
+        synth=SynthConfig(concepts=7, synonyms_per_concept=2, products=50, queries=20, eval_queries=5,
+                          typo_rate=0.1, morph_rate=0.2, impressed_per_purchase=2,
+                          concepts_per_product=2, query_concepts=1, phrase_pairs=1,
+                          model_number_rate=0.5, seed=5),
+        seed=5,
+        eval_k=7,
+        eval_threshold=0.25,
+    )
+
+
+@pytest.fixture(scope="module")
+def derived(tmp_path_factory):
+    """Artifacts of a run, gen-synthetic through embed-products, whose config
+    leaves the max token lengths unset."""
+    tmp = tmp_path_factory.mktemp("derived")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(DERIVED_CONFIG)
+    paths = {name: tmp / name for name in ("data", "vocab.txt", "recs.bin", "model.bin", "index.bin")}
+    data = paths["data"]
+    assert run(["gen-synthetic", "--config", cfg, "--out", data]) == 0
+    assert run(["build-vocab", "--input", data / "logs.tsv", "--config", cfg,
+                "--out", paths["vocab.txt"]]) == 0
+    assert run(["preprocess", "--input", data / "logs.tsv", "--vocab", paths["vocab.txt"],
+                "--config", cfg, "--out", paths["recs.bin"]]) == 0
+    assert run(["train", "--records", paths["recs.bin"], "--vocab", paths["vocab.txt"],
+                "--config", cfg, "--out", paths["model.bin"]]) == 0
+    assert run(["embed-products", "--catalog", data / "catalog.tsv", "--model", paths["model.bin"],
+                "--vocab", paths["vocab.txt"], "--config", cfg, "--out", paths["index.bin"]]) == 0
+    return cfg, paths
+
+
+def query_args(cfg, paths, model=None):
+    return ["query", "--text", "red shoe", "--index", paths["index.bin"],
+            "--model", model or paths["model.bin"], "--vocab", paths["vocab.txt"], "--config", cfg]
 
 
 class TestConfig:
@@ -62,6 +131,39 @@ class TestConfig:
         bad.write_text("just words\n")
         with pytest.raises(ValueError, match="expected"):
             parse_config_file(str(bad))
+
+    def test_every_field_reachable(self, tmp_path):
+        full, default = full_config(), load_text(tmp_path, "")
+        for section in dataclasses.fields(RunConfig):
+            value, base = getattr(full, section.name), getattr(default, section.name)
+            if dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    assert getattr(value, f.name) != getattr(base, f.name), f"{section.name}.{f.name}"
+            else:
+                assert value != base, section.name
+        assert load_text(tmp_path, "\n".join(full.resolved_lines())) == full
+
+    @pytest.mark.parametrize("text", ["", CONFIG], ids=["empty", "test-suite"])
+    def test_resolved_lines_round_trip(self, tmp_path, text):
+        cfg = load_text(tmp_path, text)
+        assert load_text(tmp_path, "\n".join(cfg.resolved_lines())) == cfg
+
+    def test_budget_for_any_ngram_order(self, tmp_path):
+        cfg = load_text(tmp_path, "tokenizer.ngram_orders = 2,3,4\ntokenizer.budget.ngram4 = 9\n")
+        assert cfg.tokenizer.ngram_orders == (2, 3, 4)
+        assert cfg.tokenizer.budget_per_class == {"ngram4": 9}
+        for key in ("tokenizer.budget.ngram1", "tokenizer.budget.ngram04", "tokenizer.budget.bigram",
+                    "tokenizer.budget", "train.seed", "synth.seed"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                load_text(tmp_path, f"{key} = 3\n")
+
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("seed = 1\nmodel.embedding_dim = abc\n")
+        assert run(["gen-synthetic", "--config", bad, "--out", tmp_path / "d"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}:2: model.embedding_dim: ")
 
 
 class TestPipeline:
@@ -118,6 +220,20 @@ class TestPipeline:
             outputs.append((d / "vocab.txt").read_bytes() + (d / "model.bin").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_pipeline_with_derived_max_lengths(self, derived, capsys):
+        cfg, paths = derived
+        header = paths["vocab.txt"].read_text().splitlines()[0]
+        assert " query_max=" in header and " product_max=" in header
+        capsys.readouterr()
+        assert run(query_args(cfg, paths) + ["--k", 5]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+    def test_query_defaults_from_config(self, derived, capsys):
+        cfg, paths = derived
+        capsys.readouterr()
+        assert run(query_args(cfg, paths)) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
     def test_shard_check(self, capsys):
         assert run(["shard-check", "--n", 4, "--dim", 32, "--pairs", 50]) == 0
         out = capsys.readouterr().out
@@ -156,6 +272,30 @@ class TestErrors:
                         "--vocab", vocab, "--config", cfg]) == 1
             err = capsys.readouterr().err.splitlines()
             assert [line for line in err if not line.startswith("config: ")] == ["error: truncated index"]
+
+    def test_truncated_records_exit_one(self, derived, capsys, tmp_path):
+        cfg, paths = derived
+        blob = paths["recs.bin"].read_bytes()
+        short = tmp_path / "short.bin"
+        for cut in (4, 10, 27, 28, len(blob) // 2, len(blob) - 1):  # the header is bytes 8..28
+            short.write_bytes(blob[:cut])
+            capsys.readouterr()
+            assert run(["train", "--records", short, "--vocab", paths["vocab.txt"],
+                        "--config", cfg, "--out", tmp_path / "m.bin"]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len([line for line in err if not line.startswith("config: ")]) == 1
+            assert err[-1].startswith("error: ")
+
+    def test_huge_vocabulary_size_exits_one(self, derived, capsys, tmp_path):
+        cfg, paths = derived
+        blob = bytearray(paths["model.bin"].read_bytes())
+        blob[12:20] = struct.pack("<Q", 2**63)  # the vocabulary-size field
+        huge = tmp_path / "huge.bin"
+        huge.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run(query_args(cfg, paths, model=huge)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if not line.startswith("config: ")] == ["error: truncated checkpoint"]
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -319,6 +319,15 @@ class TestCheckpoint:
         for cut in (12, 30, 51, len(blob) // 2, len(blob) - 1):  # the header is bytes 8..52
             with pytest.raises(ValueError):
                 load_model(io.BytesIO(blob[:cut]))
+        huge = bytearray(blob)
+        huge[12:20] = struct.pack("<Q", 2**63)  # the vocabulary-size field
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(io.BytesIO(bytes(huge)))
+
+    def test_trailing_byte_rejected(self):
+        blob = serialize_model(make_model())
+        with pytest.raises(ValueError, match="size"):
+            load_model(io.BytesIO(blob + b"\x00"))
 
     def test_unknown_norm_code_rejected(self):
         blob = bytearray(serialize_model(make_model()))

@@ -234,6 +234,35 @@ class TestVocabulary:
         assert loaded.oov_bins == vocab.oov_bins
         assert loaded.class_counts == vocab.class_counts
 
+    def test_derived_lengths_persist(self):
+        cfg = TokenizerConfig(budget_per_class={UNIGRAM: 50})
+        rows = [("query", "red shoe"), ("product", "red shoe sale now")]
+        vocab = build_vocabulary(rows, cfg)
+        buf = io.StringIO()
+        save_vocabulary(vocab, buf)
+        assert buf.getvalue().splitlines()[0] == f"V={vocab.v} B=0 query_max=2 product_max=4"
+        buf.seek(0)
+        loaded = load_vocabulary(buf)
+        assert (loaded.derived_query_max, loaded.derived_product_max) == (2, 4)
+        assert encode("red shoe sale", "query", loaded, cfg).ids.shape == (2,)
+        assert encode("red shoe sale", "product", loaded, cfg).ids.shape == (4,)
+
+    def test_header_without_derived_lengths(self):
+        cfg = TokenizerConfig(budget_per_class={UNIGRAM: 50}, query_max_tokens=3)
+        vocab = build_vocabulary([("query", "red shoe")], cfg)
+        buf = io.StringIO()
+        save_vocabulary(vocab, buf)
+        assert buf.getvalue().splitlines()[0] == f"V={vocab.v} B=0"
+
+    def test_config_length_wins_over_derived(self):
+        cfg = TokenizerConfig(budget_per_class={UNIGRAM: 50})
+        vocab = build_vocabulary([("query", "red shoe"), ("product", "red")], cfg)
+        sized = TokenizerConfig(budget_per_class={UNIGRAM: 50}, query_max_tokens=6)
+        assert vocab.max_tokens("query", sized) == 6
+        assert vocab.max_tokens("product", sized) == 1
+        with pytest.raises(ValueError, match="max token length"):
+            Vocabulary({}, 0, 0, {}).max_tokens("query", cfg)
+
     def test_load_rejects_bad_header(self):
         with pytest.raises(ValueError):
             load_vocabulary(io.StringIO("garbage\n"))

@@ -1,5 +1,7 @@
 """Training pipeline tests: record files, epoch sampling, init, ADAM, loop."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,30 @@ class TestRecordFile:
             f.write(data[:-10])
         with pytest.raises(ValueError):
             read_records(path)
+
+
+    def test_truncated_header(self, tmp_path):
+        path = str(tmp_path / "recs.bin")
+        write_records(path, 4, 6, np.zeros(2, dtype=record_dtype(4, 6)))
+        data = open(path, "rb").read()
+        for cut in (10, 20, 27):  # the header is bytes 8..28
+            with open(path, "wb") as f:
+                f.write(data[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                read_records(path)
+
+    def test_size_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "recs.bin"
+        write_records(str(path), 4, 6, np.zeros(2, dtype=record_dtype(4, 6)))
+        data = path.read_bytes()
+        huge = bytearray(data)
+        huge[20:28] = struct.pack("<Q", 2**63)  # the record-count field
+        path.write_bytes(bytes(huge))
+        with pytest.raises(ValueError, match="truncated"):
+            read_records(str(path))
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(ValueError, match="size"):
+            read_records(str(path))
 
 
 class TestPreprocess:
