@@ -15,8 +15,6 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .tokenizer import TokenBag
-
 NORM_NONE = "none"
 NORM_BATCH = "batch"
 NORM_LAYER = "layer"
@@ -137,12 +135,6 @@ def pool_batch(ids: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndar
     return pooled, counts
 
 
-def embed_bag(bag: TokenBag, arm: str, model: EmbeddingModel) -> np.ndarray:
-    """Pooled embedding of one TokenBag."""
-    pooled, _ = pool_batch(bag.ids[None, :], model.matrix_for(arm))
-    return pooled[0]
-
-
 @dataclass
 class _NormCache:
     mode: str
@@ -188,14 +180,6 @@ def normalize_batch(
     return out, _NormCache(mode, phase, x, xhat, std, state.gamma)
 
 
-def normalize(
-    batch: np.ndarray, arm: str, model: EmbeddingModel, phase: str
-) -> np.ndarray:
-    """Public normalization over a (B, N) batch; see normalize_batch."""
-    out, _ = normalize_batch(np.asarray(batch, dtype=np.float64), arm, model, phase)
-    return out
-
-
 def _norm_backward(dout: np.ndarray, cache: _NormCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (dx, dgamma, dbeta) for one arm's normalization."""
     if cache.mode == NORM_NONE:
@@ -215,15 +199,6 @@ def _norm_backward(dout: np.ndarray, cache: _NormCache) -> tuple[np.ndarray, np.
     else:
         dx = dxhat / cache.std
     return dx, dgamma, dbeta
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0 when either vector has zero norm."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def cosine_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,15 +256,6 @@ def forward_batch(
     return scores, cache
 
 
-def forward(
-    query_bag: TokenBag, product_bag: TokenBag, model: EmbeddingModel, phase: str = "infer"
-) -> tuple[float, ForwardCache]:
-    scores, cache = forward_batch(
-        query_bag.ids[None, :], product_bag.ids[None, :], model, phase
-    )
-    return float(scores[0]), cache
-
-
 @dataclass
 class SparseRowGrad:
     """Gradient for a subset of embedding rows."""
@@ -320,25 +286,29 @@ def _cosine_backward(cache: ForwardCache, dscores: np.ndarray) -> tuple[np.ndarr
 def _pool_backward(
     ids: np.ndarray, counts: np.ndarray, dpooled: np.ndarray
 ) -> SparseRowGrad:
+    """Scatter each bag's pooled gradient onto its non-padding ids.
+
+    np.bincount sums every cell from 0.0 in input order, as np.add.at would,
+    so the result is the same to the bit."""
     n = dpooled.shape[1]
     per_token = dpooled / np.maximum(counts, 1)[:, None]
-    valid = ids != 0
-    flat_ids = ids[valid]
-    if flat_ids.size == 0:
+    bag, slot = np.nonzero(ids)
+    if bag.size == 0:
         return SparseRowGrad(
             rows=np.empty(0, dtype=np.int64), values=np.empty((0, n), dtype=np.float64)
         )
-    contrib = np.broadcast_to(per_token[:, None, :], ids.shape + (n,))[valid]
-    rows, inverse = np.unique(flat_ids, return_inverse=True)
-    values = np.zeros((rows.size, n), dtype=np.float64)
-    np.add.at(values, inverse, contrib)
-    return SparseRowGrad(rows=rows.astype(np.int64), values=values)
+    rows, inverse = np.unique(ids[bag, slot], return_inverse=True)
+    cells = (inverse[:, None] * n + np.arange(n)).ravel()
+    values = np.bincount(cells, weights=per_token[bag].ravel(), minlength=rows.size * n)
+    return SparseRowGrad(rows=rows.astype(np.int64), values=values.reshape(rows.size, n))
 
 
 def _merge_sparse(a: SparseRowGrad, b: SparseRowGrad) -> SparseRowGrad:
-    rows, inverse = np.unique(np.concatenate([a.rows, b.rows]), return_inverse=True)
+    """Row-wise sum of two gradients, each with unique sorted rows."""
+    rows = np.union1d(a.rows, b.rows)
     values = np.zeros((rows.size, a.values.shape[1]), dtype=np.float64)
-    np.add.at(values, inverse, np.concatenate([a.values, b.values], axis=0))
+    values[np.searchsorted(rows, a.rows)] += a.values
+    values[np.searchsorted(rows, b.rows)] += b.values
     return SparseRowGrad(rows=rows, values=values)
 
 
@@ -365,11 +335,6 @@ def backward_batch(cache: ForwardCache, dscores: np.ndarray) -> Gradients:
         grads["gamma_p"] = dgamma_p
         grads["beta_p"] = dbeta_p
     return grads
-
-
-def backward(cache: ForwardCache, dscore: float) -> Gradients:
-    """Single-pair wrapper over backward_batch."""
-    return backward_batch(cache, np.asarray([dscore], dtype=np.float64))
 
 
 def _write_array(f: BinaryIO, a: np.ndarray) -> None:

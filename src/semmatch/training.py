@@ -132,88 +132,119 @@ class EpochSample:
     product_ids: np.ndarray  # (E, Lp) int64
 
 
+@dataclass
+class RecordGroups:
+    """Records grouped by query bag, once per train call.
+
+    Bags are coded in order of first appearance, so product code j is also
+    the catalog index random negatives are drawn from. Only query groups
+    with a purchase are kept, in order of first appearance; their rows keep
+    record order."""
+
+    query_bags: np.ndarray  # (distinct query bags, Lq) int64
+    product_bags: np.ndarray  # (distinct product bags, Lp) int64
+    query_code: np.ndarray  # (R,) record row -> query bag
+    product_code: np.ndarray  # (R,) record row -> product bag
+    weights: np.ndarray  # (R,) float64
+    catalog_rows: list[int]  # first record row of each product bag
+    purchased: list[list[int]]  # per group: purchased record rows
+    impressed: list[list[int]]  # per group: every other record row
+    excluded: list[set[int]]  # per group: product codes of all its rows
+
+
+def _first_appearance_codes(bags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct bags, code per row, first row per code), codes numbered in
+    order of first appearance."""
+    distinct, first, inverse = np.unique(bags, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    code = np.empty_like(order)
+    code[order] = np.arange(order.size)
+    return distinct[order].astype(np.int64), code[inverse.ravel()], first[order]
+
+
+def group_records(records: np.ndarray) -> RecordGroups:
+    """Group the records for sample_epoch; raises ValueError when none is a
+    purchase."""
+    purchased = records["label"] == int(Label3.PURCHASED)
+    if not purchased.any():
+        raise ValueError("no purchased records to sample an epoch from")
+    query_bags, query_code, _ = _first_appearance_codes(records["query"])
+    product_bags, product_code, catalog_rows = _first_appearance_codes(records["product"])
+    groups = RecordGroups(
+        query_bags,
+        product_bags,
+        query_code,
+        product_code,
+        records["weight"].astype(np.float64),
+        catalog_rows.tolist(),
+        [],
+        [],
+        [],
+    )
+    by_query = np.argsort(query_code, kind="stable")
+    for rows in np.split(by_query, np.cumsum(np.bincount(query_code))[:-1]):
+        is_purchase = purchased[rows]
+        if is_purchase.any():
+            groups.purchased.append(rows[is_purchase].tolist())
+            groups.impressed.append(rows[~is_purchase].tolist())
+            groups.excluded.append(set(product_code[rows].tolist()))
+    return groups
+
+
 def sample_epoch(
-    records: np.ndarray, config: TrainConfig, rng: np.random.Generator
+    groups: RecordGroups, config: TrainConfig, rng: np.random.Generator
 ) -> EpochSample:
     """One epoch: per purchased record, 1 purchase + 6 impressed (with
     replacement; randoms substituted when the query has none) + 7 random
-    products sampled outside the query's purchased/impressed sets."""
-    labels = records["label"]
-    purchased_idx = np.flatnonzero(labels == int(Label3.PURCHASED))
-    if purchased_idx.size == 0:
-        raise ValueError("no purchased records to sample an epoch from")
+    products sampled outside the query's purchased/impressed sets.
 
-    by_query: dict[bytes, dict[str, list[int]]] = {}
-    order: list[bytes] = []
-    for i in range(len(records)):
-        key = records["query"][i].tobytes()
-        slot = by_query.get(key)
-        if slot is None:
-            slot = {"purchased": [], "impressed": []}
-            by_query[key] = slot
-            order.append(key)
-        if labels[i] == int(Label3.PURCHASED):
-            slot["purchased"].append(i)
-        else:
-            slot["impressed"].append(i)
+    Draws come in blocks, but in the order and number of one draw per pick
+    with rejection: `integers(h, size=k)` yields the values of k calls to
+    `integers(h)`, and only the shortfall left by rejected picks is drawn
+    again."""
+    k_imp, k_rand = config.impressed_per_purchase, config.random_per_purchase
+    per = 1 + k_imp + k_rand
+    catalog = groups.catalog_rows
+    P, I, R = int(Label3.PURCHASED), int(Label3.IMPRESSED), int(Label3.RANDOM)
+    with_impressed = [P] + [I] * k_imp + [R] * k_rand
+    without_impressed = [P] + [R] * (k_imp + k_rand)
 
-    # Catalog of distinct product bags for random negatives.
-    catalog_keys: dict[bytes, int] = {}
-    for i in range(len(records)):
-        catalog_keys.setdefault(records["product"][i].tobytes(), i)
-    catalog_rows = np.asarray(list(catalog_keys.values()), dtype=np.int64)
-    catalog_byte_keys = list(catalog_keys.keys())
-
-    out_labels: list[int] = []
-    out_weights: list[float] = []
-    out_rows: list[tuple[int, int]] = []  # (record row for query side, record row for product side)
-
-    def _sample_randoms(exclude: set[bytes], count: int) -> list[int]:
+    def draw_randoms(excluded: set[int], count: int) -> list[int]:
+        accept_all = len(excluded) == len(catalog)
         picked: list[int] = []
         while len(picked) < count:
-            j = int(rng.integers(len(catalog_rows)))
-            if catalog_byte_keys[j] in exclude and len(exclude) < len(catalog_rows):
-                continue
-            picked.append(int(catalog_rows[j]))
-        return picked
+            draws = rng.integers(len(catalog), size=count - len(picked)).tolist()
+            picked += draws if accept_all else [j for j in draws if j not in excluded]
+        return [catalog[j] for j in picked]
 
-    for key in order:
-        slot = by_query[key]
-        if not slot["purchased"]:
-            continue
-        exclude = {
-            records["product"][i].tobytes()
-            for i in slot["purchased"] + slot["impressed"]
-        }
-        for pi in slot["purchased"]:
-            out_labels.append(int(Label3.PURCHASED))
-            out_weights.append(float(records["weight"][pi]))
-            out_rows.append((pi, pi))
-            if slot["impressed"]:
-                for _ in range(config.impressed_per_purchase):
-                    ii = slot["impressed"][int(rng.integers(len(slot["impressed"])))]
-                    out_labels.append(int(Label3.IMPRESSED))
-                    out_weights.append(float(records["weight"][ii]))
-                    out_rows.append((pi, ii))
+    q_rows: list[int] = []
+    p_rows: list[int] = []
+    labels: list[int] = []
+    for purchased, impressed, excluded in zip(groups.purchased, groups.impressed, groups.excluded):
+        for pi in purchased:
+            q_rows += [pi] * per
+            p_rows.append(pi)
+            if impressed:
+                picks = rng.integers(len(impressed), size=k_imp).tolist()
+                p_rows += [impressed[i] for i in picks]
+                labels += with_impressed
             else:
-                for ri in _sample_randoms(exclude, config.impressed_per_purchase):
-                    out_labels.append(int(Label3.RANDOM))
-                    out_weights.append(1.0)
-                    out_rows.append((pi, ri))
-            for ri in _sample_randoms(exclude, config.random_per_purchase):
-                out_labels.append(int(Label3.RANDOM))
-                out_weights.append(1.0)
-                out_rows.append((pi, ri))
+                p_rows += draw_randoms(excluded, k_imp)
+                labels += without_impressed
+            p_rows += draw_randoms(excluded, k_rand)
 
-    rows = np.asarray(out_rows, dtype=np.int64)
-    q = records["query"][rows[:, 0]].astype(np.int64)
-    p = records["product"][rows[:, 1]].astype(np.int64)
-    labels_arr = np.asarray(out_labels, dtype=np.int64)
-    weights_arr = np.asarray(out_weights, dtype=np.float64)
+    q_idx = np.asarray(q_rows, dtype=np.int64)
+    p_idx = np.asarray(p_rows, dtype=np.int64)
+    labels_arr = np.asarray(labels, dtype=np.int64)
     if config.shuffle:
         perm = rng.permutation(len(labels_arr))
-        labels_arr, weights_arr, q, p = labels_arr[perm], weights_arr[perm], q[perm], p[perm]
-    return EpochSample(labels=labels_arr, weights=weights_arr, query_ids=q, product_ids=p)
+        labels_arr, q_idx, p_idx = labels_arr[perm], q_idx[perm], p_idx[perm]
+    return EpochSample(
+        labels=labels_arr,
+        weights=np.where(labels_arr == R, 1.0, groups.weights[p_idx]),
+        query_ids=groups.query_bags[groups.query_code[q_idx]],
+        product_ids=groups.product_bags[groups.product_code[p_idx]],
+    )
 
 
 def xavier_init(rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -309,8 +340,9 @@ def train(
     history = TrainHistory()
     needs_batch = model.config.normalization == model_mod.NORM_BATCH
 
+    groups = group_records(records)
     for _epoch in range(config.epochs):
-        sample = sample_epoch(records, config, rng)
+        sample = sample_epoch(groups, config, rng)
         nonempty = (np.count_nonzero(sample.query_ids, axis=1) > 0) & (
             np.count_nonzero(sample.product_ids, axis=1) > 0
         )

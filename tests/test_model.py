@@ -12,20 +12,17 @@ from semmatch.model import (
     ModelConfig,
     NormState,
     backward_batch,
-    cosine,
     cosine_batch,
-    embed_bag,
-    forward,
     forward_batch,
     load_model,
     model_fingerprint,
-    normalize,
     pool_batch,
     save_model,
     serialize_model,
 )
 from semmatch.tokenizer import TokenBag
 from semmatch.training import init_model, xavier_init
+from single_item import cosine, embed_bag, forward, normalize
 
 
 def make_model(v=20, bins=5, n=8, shared=True, norm="none", seed=0):

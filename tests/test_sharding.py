@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semmatch.model import ModelConfig, cosine, forward_batch
+from semmatch.model import ModelConfig, forward_batch
 from semmatch.sharding import (
     CommLedger,
     ShardPlan,
@@ -13,6 +13,7 @@ from semmatch.sharding import (
     split_model,
 )
 from semmatch.training import init_model
+from single_item import cosine
 
 
 def make_model(n, norm="none", v=50, bins=10, seed=0):

@@ -13,6 +13,7 @@ from semmatch.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    group_records,
     init_model,
     preprocess_logs,
     read_records,
@@ -136,7 +137,7 @@ class TestSampleEpoch:
     def test_ratio_per_purchase(self, tmp_path):
         recs = self._records(tmp_path)
         cfg = TrainConfig(batch_size=4, impressed_per_purchase=6, random_per_purchase=7)
-        sample = sample_epoch(recs, cfg, np.random.default_rng(0))
+        sample = sample_epoch(group_records(recs), cfg, np.random.default_rng(0))
         purchases = int((sample.labels == int(Label3.PURCHASED)).sum())
         assert purchases == 2
         assert len(sample.labels) == purchases * (1 + 6 + 7)
@@ -144,7 +145,7 @@ class TestSampleEpoch:
     def test_random_weight_is_one(self, tmp_path):
         recs = self._records(tmp_path)
         cfg = TrainConfig(batch_size=4)
-        sample = sample_epoch(recs, cfg, np.random.default_rng(0))
+        sample = sample_epoch(group_records(recs), cfg, np.random.default_rng(0))
         rand = sample.labels == int(Label3.RANDOM)
         np.testing.assert_array_equal(sample.weights[rand], 1.0)
         pos = sample.labels == int(Label3.PURCHASED)
@@ -153,7 +154,7 @@ class TestSampleEpoch:
     def test_randoms_exclude_interacted_products(self, tmp_path):
         recs = self._records(tmp_path)
         cfg = TrainConfig(batch_size=4, shuffle=False)
-        sample = sample_epoch(recs, cfg, np.random.default_rng(0))
+        sample = sample_epoch(group_records(recs), cfg, np.random.default_rng(0))
         # For each random example, its product bag must differ from the
         # purchased/impressed bags of the same query.
         by_query = {}
@@ -169,8 +170,8 @@ class TestSampleEpoch:
     def test_seeded_determinism(self, tmp_path):
         recs = self._records(tmp_path)
         cfg = TrainConfig(batch_size=4)
-        s1 = sample_epoch(recs, cfg, np.random.default_rng(5))
-        s2 = sample_epoch(recs, cfg, np.random.default_rng(5))
+        s1 = sample_epoch(group_records(recs), cfg, np.random.default_rng(5))
+        s2 = sample_epoch(group_records(recs), cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(s1.labels, s2.labels)
         np.testing.assert_array_equal(s1.query_ids, s2.query_ids)
         np.testing.assert_array_equal(s1.product_ids, s2.product_ids)
@@ -180,7 +181,7 @@ class TestSampleEpoch:
         recs = np.zeros(2, dtype=dt)
         recs["label"] = [1, 1]
         with pytest.raises(ValueError):
-            sample_epoch(recs, TrainConfig(batch_size=4), np.random.default_rng(0))
+            group_records(recs)
 
 
 class TestInit:

@@ -1,0 +1,375 @@
+"""Epoch sampling and the embedding backward pass against their first versions.
+
+The oracles are the straightforward paths the library replaced: a sampler
+that regroups the records by bag bytes every epoch and draws every pick with
+its own `integers` call, and scatter-adds with `np.add.at`. The library
+groups once per train call, draws in blocks and scatters with `np.bincount`.
+Both must agree to the byte, and so must the checkpoints they train.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from semmatch import model as model_mod
+from semmatch import training
+from semmatch.losses import Label3, LossSpec
+from semmatch.model import (
+    ModelConfig,
+    SparseRowGrad,
+    _merge_sparse,
+    _pool_backward,
+    backward_batch,
+    forward_batch,
+    serialize_model,
+)
+from semmatch.training import (
+    EpochSample,
+    TrainConfig,
+    group_records,
+    init_model,
+    record_dtype,
+    sample_epoch,
+    train,
+)
+
+# -- oracles: regroup every epoch, one draw per pick, np.add.at ------------------
+
+
+def oracle_sample_epoch(
+    records: np.ndarray, config: TrainConfig, rng: np.random.Generator
+) -> EpochSample:
+    labels = records["label"]
+    purchased_idx = np.flatnonzero(labels == int(Label3.PURCHASED))
+    if purchased_idx.size == 0:
+        raise ValueError("no purchased records to sample an epoch from")
+
+    by_query: dict[bytes, dict[str, list[int]]] = {}
+    order: list[bytes] = []
+    for i in range(len(records)):
+        key = records["query"][i].tobytes()
+        slot = by_query.get(key)
+        if slot is None:
+            slot = {"purchased": [], "impressed": []}
+            by_query[key] = slot
+            order.append(key)
+        if labels[i] == int(Label3.PURCHASED):
+            slot["purchased"].append(i)
+        else:
+            slot["impressed"].append(i)
+
+    catalog_keys: dict[bytes, int] = {}
+    for i in range(len(records)):
+        catalog_keys.setdefault(records["product"][i].tobytes(), i)
+    catalog_rows = np.asarray(list(catalog_keys.values()), dtype=np.int64)
+    catalog_byte_keys = list(catalog_keys.keys())
+
+    out_labels: list[int] = []
+    out_weights: list[float] = []
+    out_rows: list[tuple[int, int]] = []
+
+    def _sample_randoms(exclude: set[bytes], count: int) -> list[int]:
+        picked: list[int] = []
+        while len(picked) < count:
+            j = int(rng.integers(len(catalog_rows)))
+            if catalog_byte_keys[j] in exclude and len(exclude) < len(catalog_rows):
+                continue
+            picked.append(int(catalog_rows[j]))
+        return picked
+
+    for key in order:
+        slot = by_query[key]
+        if not slot["purchased"]:
+            continue
+        exclude = {
+            records["product"][i].tobytes()
+            for i in slot["purchased"] + slot["impressed"]
+        }
+        for pi in slot["purchased"]:
+            out_labels.append(int(Label3.PURCHASED))
+            out_weights.append(float(records["weight"][pi]))
+            out_rows.append((pi, pi))
+            if slot["impressed"]:
+                for _ in range(config.impressed_per_purchase):
+                    ii = slot["impressed"][int(rng.integers(len(slot["impressed"])))]
+                    out_labels.append(int(Label3.IMPRESSED))
+                    out_weights.append(float(records["weight"][ii]))
+                    out_rows.append((pi, ii))
+            else:
+                for ri in _sample_randoms(exclude, config.impressed_per_purchase):
+                    out_labels.append(int(Label3.RANDOM))
+                    out_weights.append(1.0)
+                    out_rows.append((pi, ri))
+            for ri in _sample_randoms(exclude, config.random_per_purchase):
+                out_labels.append(int(Label3.RANDOM))
+                out_weights.append(1.0)
+                out_rows.append((pi, ri))
+
+    rows = np.asarray(out_rows, dtype=np.int64)
+    q = records["query"][rows[:, 0]].astype(np.int64)
+    p = records["product"][rows[:, 1]].astype(np.int64)
+    labels_arr = np.asarray(out_labels, dtype=np.int64)
+    weights_arr = np.asarray(out_weights, dtype=np.float64)
+    if config.shuffle:
+        perm = rng.permutation(len(labels_arr))
+        labels_arr, weights_arr, q, p = labels_arr[perm], weights_arr[perm], q[perm], p[perm]
+    return EpochSample(labels=labels_arr, weights=weights_arr, query_ids=q, product_ids=p)
+
+
+def oracle_pool_backward(ids, counts, dpooled):
+    n = dpooled.shape[1]
+    per_token = dpooled / np.maximum(counts, 1)[:, None]
+    valid = ids != 0
+    flat_ids = ids[valid]
+    if flat_ids.size == 0:
+        return SparseRowGrad(
+            rows=np.empty(0, dtype=np.int64), values=np.empty((0, n), dtype=np.float64)
+        )
+    contrib = np.broadcast_to(per_token[:, None, :], ids.shape + (n,))[valid]
+    rows, inverse = np.unique(flat_ids, return_inverse=True)
+    values = np.zeros((rows.size, n), dtype=np.float64)
+    np.add.at(values, inverse, contrib)
+    return SparseRowGrad(rows=rows.astype(np.int64), values=values)
+
+
+def oracle_merge_sparse(a, b):
+    rows, inverse = np.unique(np.concatenate([a.rows, b.rows]), return_inverse=True)
+    values = np.zeros((rows.size, a.values.shape[1]), dtype=np.float64)
+    np.add.at(values, inverse, np.concatenate([a.values, b.values], axis=0))
+    return SparseRowGrad(rows=rows, values=values)
+
+
+# -- helpers ---------------------------------------------------------------------
+
+QMAX, PMAX = 4, 5
+P, I, R = int(Label3.PURCHASED), int(Label3.IMPRESSED), int(Label3.RANDOM)
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def same_sample(got: EpochSample, want: EpochSample) -> None:
+    for name in ("labels", "weights", "query_ids", "product_ids"):
+        same_array(getattr(got, name), getattr(want, name))
+
+
+def same_grad(got: SparseRowGrad, want: SparseRowGrad) -> None:
+    same_array(got.rows, want.rows)
+    same_array(got.values, want.values)
+
+
+def make_records(seed, queries, products, rows, purchase_share, max_id=5):
+    """Rows over a few query and product bags picked with replacement, so
+    bags repeat across rows. Ids come from a small range, so a bag can
+    repeat an id; bag 0 of each side is empty."""
+    rng = np.random.default_rng(seed)
+    qbags = rng.integers(0, max_id + 1, size=(queries, QMAX))
+    pbags = rng.integers(0, max_id + 1, size=(products, PMAX))
+    qbags[0] = 0
+    pbags[0] = 0
+    recs = np.zeros(rows, dtype=record_dtype(QMAX, PMAX))
+    recs["query"] = qbags[rng.integers(queries, size=rows)]
+    recs["product"] = pbags[rng.integers(products, size=rows)]
+    recs["label"] = np.where(rng.random(rows) < purchase_share, P, I)
+    recs["weight"] = rng.integers(1, 8, size=rows) / 4.0
+    return recs
+
+
+def hand_records(rows):
+    """Records from (label, query bag, product bag, weight) tuples."""
+    recs = np.zeros(len(rows), dtype=record_dtype(QMAX, PMAX))
+    for i, (label, q, p, w) in enumerate(rows):
+        recs[i]["label"] = label
+        recs[i]["query"][: len(q)] = q
+        recs[i]["product"][: len(p)] = p
+        recs[i]["weight"] = w
+    return recs
+
+
+def assert_epochs_equal(recs, cfg, seed, epochs=3):
+    groups = group_records(recs)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(epochs):
+        same_sample(sample_epoch(groups, cfg, got_rng), oracle_sample_epoch(recs, cfg, want_rng))
+    # Block draws never run past the draws of the one-pick-at-a-time loop.
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# -- sampling --------------------------------------------------------------------
+
+
+class TestSampleEpochOracle:
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        queries=st.integers(1, 6),
+        products=st.integers(1, 8),
+        rows=st.integers(1, 30),
+        purchase_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        k_imp=st.integers(0, 7),
+        k_rand=st.integers(0, 8),
+        shuffle=st.booleans(),
+    )
+    @example(seed=0, queries=1, products=4, rows=8, purchase_share=0.3, k_imp=6, k_rand=7, shuffle=True)
+    @example(seed=1, queries=5, products=2, rows=25, purchase_share=0.7, k_imp=6, k_rand=7, shuffle=False)
+    def test_epochs_equal_oracle(self, seed, queries, products, rows, purchase_share, k_imp, k_rand, shuffle):
+        recs = make_records(seed, queries, products, rows, purchase_share)
+        cfg = TrainConfig(
+            batch_size=4, shuffle=shuffle, impressed_per_purchase=k_imp, random_per_purchase=k_rand
+        )
+        if not (recs["label"] == P).any():
+            with pytest.raises(ValueError):
+                group_records(recs)
+            with pytest.raises(ValueError):
+                oracle_sample_epoch(recs, cfg, np.random.default_rng(seed))
+            return
+        assert_epochs_equal(recs, cfg, seed)
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_query_without_impressed_substitutes_randoms(self, shuffle):
+        recs = hand_records(
+            [
+                (P, [1, 2], [3], 1.0),
+                (P, [1, 2], [4, 4], 2.0),
+                (P, [5], [3], 1.5),
+                (I, [5], [6, 7], 0.5),
+                (I, [2], [8], 1.0),
+                (P, [2], [], 1.0),
+            ]
+        )
+        cfg = TrainConfig(batch_size=4, shuffle=shuffle)
+        assert_epochs_equal(recs, cfg, seed=7)
+        sample = sample_epoch(group_records(recs), TrainConfig(batch_size=4, shuffle=False), np.random.default_rng(7))
+        # Query [1, 2] has no impressed rows: its 13 negatives are all random.
+        assert sample.labels[:14].tolist() == [P] + [R] * 13
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_exclusion_covering_catalog_accepts_anything(self, shuffle):
+        # One query interacts with every product bag, so nothing is left to
+        # draw from outside its exclusion set.
+        recs = hand_records(
+            [
+                (P, [1], [2, 3], 1.0),
+                (I, [1], [4], 1.0),
+                (I, [1], [2, 3], 3.0),
+                (P, [1], [5, 5, 0, 6], 2.0),
+            ]
+        )
+        cfg = TrainConfig(batch_size=4, shuffle=shuffle)
+        assert_epochs_equal(recs, cfg, seed=3)
+        groups = group_records(recs)
+        assert groups.excluded == [{0, 1, 2}]
+        sample = sample_epoch(groups, cfg, np.random.default_rng(3))
+        assert (sample.labels == R).sum() == 2 * 7
+
+    def test_duplicate_product_bags_share_one_catalog_entry(self):
+        recs = hand_records(
+            [
+                (P, [1], [2], 1.0),
+                (I, [3], [2], 1.0),
+                (P, [3], [4], 1.0),
+                (I, [1], [4], 1.0),
+                (P, [5], [2], 1.0),
+                (I, [5], [6], 1.0),
+            ]
+        )
+        groups = group_records(recs)
+        assert groups.catalog_rows == [0, 2, 5]
+        assert groups.product_code.tolist() == [0, 0, 1, 1, 0, 2]
+        for shuffle in (True, False):
+            assert_epochs_equal(recs, TrainConfig(batch_size=4, shuffle=shuffle), seed=11)
+
+
+# -- backward scatter ------------------------------------------------------------
+
+
+def random_ids(seed, batch, width, vocab, padding):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(1, vocab + 1, size=(batch, width))
+    ids[rng.random((batch, width)) < padding] = 0
+    return ids, rng
+
+
+class TestBackwardOracle:
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 8),
+        width=st.integers(1, 6),
+        vocab=st.integers(1, 12),
+        padding=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        n=st.integers(1, 5),
+    )
+    @example(seed=0, batch=4, width=3, vocab=5, padding=1.0, n=3)  # an all-padding batch
+    @example(seed=1, batch=3, width=5, vocab=1, padding=0.3, n=2)  # repeated ids within a bag
+    def test_pool_backward_equals_add_at(self, seed, batch, width, vocab, padding, n):
+        ids, rng = random_ids(seed, batch, width, vocab, padding)
+        counts = np.count_nonzero(ids, axis=1)
+        dpooled = rng.normal(size=(batch, n))
+        dpooled[rng.random(batch) < 0.2] = 0.0
+        same_grad(_pool_backward(ids, counts, dpooled), oracle_pool_backward(ids, counts, dpooled))
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab=st.integers(1, 12),
+        pad_a=st.sampled_from([0.0, 0.5, 1.0]),
+        pad_b=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_merge_equals_add_at(self, seed, vocab, pad_a, pad_b):
+        grads = []
+        for offset, pad in ((0, pad_a), (1, pad_b)):
+            ids, rng = random_ids(seed + offset, 4, 3, vocab, pad)
+            dpooled = rng.normal(size=(4, 3))
+            grads.append(oracle_pool_backward(ids, np.count_nonzero(ids, axis=1), dpooled))
+        same_grad(_merge_sparse(*grads), oracle_merge_sparse(*grads))
+
+    @pytest.mark.parametrize("norm", ["none", "batch", "layer"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_backward_batch_equals_oracle_path(self, monkeypatch, norm, shared):
+        cfg = ModelConfig(embedding_dim=6, shared_embeddings=shared, normalization=norm)
+        model = init_model(20, 3, cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        q = rng.integers(0, 24, size=(16, 4))
+        p = rng.integers(0, 24, size=(16, 5))
+        q[:2] = 0  # empty query bags
+        p[3] = [7, 7, 7, 0, 0]
+        _, cache = forward_batch(q, p, model, "train")
+        dscores = rng.normal(size=16)
+        got = backward_batch(cache, dscores)
+        monkeypatch.setattr(model_mod, "_pool_backward", oracle_pool_backward)
+        monkeypatch.setattr(model_mod, "_merge_sparse", oracle_merge_sparse)
+        want = backward_batch(cache, dscores)
+        assert got.keys() == want.keys()
+        for name, grad in got.items():
+            if isinstance(grad, SparseRowGrad):
+                same_grad(grad, want[name])
+            else:
+                same_array(grad, want[name])
+
+
+# -- end to end ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shared, norm", [(True, "batch"), (False, "layer"), (True, "none")])
+def test_trained_checkpoint_equals_oracle_path(monkeypatch, shared, norm):
+    recs = make_records(5, queries=40, products=60, rows=300, purchase_share=0.4, max_id=30)
+    cfg = ModelConfig(embedding_dim=8, shared_embeddings=shared, normalization=norm)
+    train_cfg = TrainConfig(batch_size=16, epochs=3, seed=2)
+
+    def trained():
+        model = init_model(30, 2, cfg, np.random.default_rng(0))
+        train(recs, model, LossSpec(), train_cfg)
+        return serialize_model(model)
+
+    got = trained()
+    monkeypatch.setattr(training, "group_records", lambda records: records)
+    monkeypatch.setattr(training, "sample_epoch", oracle_sample_epoch)
+    monkeypatch.setattr(model_mod, "_pool_backward", oracle_pool_backward)
+    monkeypatch.setattr(model_mod, "_merge_sparse", oracle_merge_sparse)
+    assert trained() == got
