@@ -9,8 +9,8 @@ import numpy as np
 
 from . import evaluation, index as index_mod, sharding, synth, training
 from .config import RunConfig, load_run_config
-from .model import load_model, save_model
-from .tokenizer import build_vocabulary, load_vocabulary, save_vocabulary
+from .model import EmbeddingModel, load_model, save_model
+from .tokenizer import Vocabulary, build_vocabulary, load_vocabulary, save_vocabulary
 
 
 def _log(msg: str) -> None:
@@ -86,12 +86,26 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_embed_products(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args.config)
+def _load_vocab_and_model(args: argparse.Namespace) -> tuple[Vocabulary, EmbeddingModel]:
+    """The vocabulary and checkpoint named by --vocab and --model. A
+    vocabulary whose size V or OOV bin count B differs from the model's
+    raises ValueError. One with the same V and B but other tokens is not
+    detected: the checkpoint does not record its vocabulary."""
     with open(args.vocab) as f:
         vocab = load_vocabulary(f)
     with open(args.model, "rb") as f:
         model = load_model(f)
+    if (vocab.v, vocab.oov_bins) != (model.vocab_v, model.oov_bins):
+        raise ValueError(
+            f"vocabulary (V={vocab.v} B={vocab.oov_bins}) does not match the model "
+            f"(V={model.vocab_v} B={model.oov_bins})"
+        )
+    return vocab, model
+
+
+def _cmd_embed_products(args: argparse.Namespace) -> int:
+    cfg = _load_cfg(args.config)
+    vocab, model = _load_vocab_and_model(args)
     with open(args.catalog) as f:
         catalog = synth.read_catalog(f)
     idx = index_mod.build_index(catalog, model, vocab, cfg.tokenizer)
@@ -103,12 +117,11 @@ def _cmd_embed_products(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
-    with open(args.vocab) as f:
-        vocab = load_vocabulary(f)
-    with open(args.model, "rb") as f:
-        model = load_model(f)
+    vocab, model = _load_vocab_and_model(args)
     with open(args.index, "rb") as f:
         idx = index_mod.load_index(f)
+    if idx.fingerprint != model.checkpoint_digest:
+        raise ValueError("the index was built from another model (its fingerprint differs)")
     k = args.k if args.k is not None else cfg.eval_k
     threshold = args.threshold if args.threshold is not None else cfg.eval_threshold
     result = index_mod.top_k(args.text, idx, model, vocab, cfg.tokenizer, k, threshold)
@@ -121,10 +134,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     import os
 
     cfg = _load_cfg(args.config)
-    with open(args.vocab) as f:
-        vocab = load_vocabulary(f)
-    with open(args.model, "rb") as f:
-        model = load_model(f)
+    vocab, model = _load_vocab_and_model(args)
     with open(os.path.join(args.data, "catalog.tsv")) as f:
         catalog = synth.read_catalog(f)
     logs_path = os.path.join(args.data, "eval_logs.tsv")

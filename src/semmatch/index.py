@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .model import EmbeddingModel, model_fingerprint, normalize_batch, pool_batch
+from .model import (
+    EmbeddingModel,
+    _bytes_left,
+    _read_array,
+    model_fingerprint,
+    normalize_batch,
+    pool_batch,
+)
 from .tokenizer import TokenizerConfig, Vocabulary, encode
 
-_IDX_MAGIC = b"SMINDEX1"
-_IDX_VERSION = 1
-_IDX_HEADER = struct.Struct("<IQI")
-_ID_LENGTH = struct.Struct("<I")
+_IDX_MAGIC = b"SMINDEX2"
+_IDX_VERSION = 2
+_IDX_HEADER = struct.Struct("<IQIQ")  # version, count, n, id blob length
+_IDX_PREFIX = 8 + _IDX_HEADER.size + 32  # magic, header, model fingerprint
 _EMBED_BLOCK = 2048  # rows pooled at once; bounds the (rows, tokens, N) gather
 
 
@@ -24,13 +30,17 @@ class ProductIndex:
     ids: list[str]
     matrix: np.ndarray  # (count, N), unit rows or exact zero rows
     fingerprint: bytes  # 32-byte model digest
+    # Rank of each product id in ascending-id order, used for tie-breaks;
+    # computed from the ids when not given.
+    id_rank: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
-        # Rank of each product id in ascending-id order, used for tie-breaks.
-        n = len(self.ids)
-        order = sorted(range(n), key=self.ids.__getitem__)
-        self._id_rank = np.empty(n, dtype=np.int64)
-        self._id_rank[np.asarray(order, dtype=np.intp)] = np.arange(n)
+    def __post_init__(self, id_rank: np.ndarray | None) -> None:
+        if id_rank is None:
+            n = len(self.ids)
+            order = sorted(range(n), key=self.ids.__getitem__)
+            id_rank = np.empty(n, dtype=np.int64)
+            id_rank[np.asarray(order, dtype=np.intp)] = np.arange(n)
+        self._id_rank = id_rank
 
 
 @dataclass
@@ -67,13 +77,16 @@ def build_index(
     vocab: Vocabulary,
     config: TokenizerConfig,
 ) -> ProductIndex:
-    """Encode, embed, and unit-normalize every catalog product."""
+    """Encode, embed, and unit-normalize every catalog product. A duplicate
+    product id, or one containing a newline, raises ValueError."""
     ids: list[str] = []
     texts: list[str] = []
     seen: set[str] = set()
     for pid, text in products:
         if pid in seen:
             raise ValueError(f"duplicate product id: {pid!r}")
+        if "\n" in pid:
+            raise ValueError(f"product id contains a newline: {pid!r}")
         seen.add(pid)
         ids.append(pid)
         texts.append(text)
@@ -135,45 +148,49 @@ def top_k(
 
 
 def save_index(index: ProductIndex, f: BinaryIO) -> None:
+    """Write the header, the model fingerprint, the id ranks, the ids as one
+    newline-joined UTF-8 blob padded with newlines to a multiple of 8 bytes,
+    and the matrix."""
     count, n = index.matrix.shape
-    f.write(_IDX_MAGIC)
-    f.write(_IDX_HEADER.pack(_IDX_VERSION, count, n))
-    f.write(index.fingerprint)
-    for pid in index.ids:
-        raw = pid.encode("utf-8")
-        f.write(_ID_LENGTH.pack(len(raw)))
-        f.write(raw)
-    f.write(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
+    blob = "\n".join(index.ids).encode("utf-8")
+    f.write(_IDX_MAGIC + _IDX_HEADER.pack(_IDX_VERSION, count, n, len(blob)) + index.fingerprint)
+    f.write(np.ascontiguousarray(index._id_rank, dtype="<i8"))
+    f.write(blob + b"\n" * (-len(blob) % 8))
+    f.write(np.ascontiguousarray(index.matrix, dtype="<f8"))
 
 
 def load_index(f: BinaryIO) -> ProductIndex:
-    """Read an index written by save_index. A short file or a trailing byte
-    raises ValueError."""
-    data = f.read()
-    if data[:8] != _IDX_MAGIC:
-        raise ValueError("not an index file (bad magic)")
-    pos = 8 + _IDX_HEADER.size + 32
-    if len(data) < pos:
+    """Read an index written by save_index. A short file, a trailing byte,
+    id ranks that are not a permutation, or ids that do not fill the blob
+    length and count in the header raise ValueError.
+
+    A blob length off by less than its padding either moves a newline into
+    or out of the ids, which changes their count, or leaves a byte that is
+    not a newline in the padding."""
+    head = f.read(_IDX_PREFIX)
+    if head[:8] != _IDX_MAGIC:
+        raise ValueError(f"not a version-{_IDX_VERSION} index file (magic {head[:8]!r})")
+    if len(head) != _IDX_PREFIX:
         raise ValueError("truncated index")
-    version, count, n = _IDX_HEADER.unpack_from(data, 8)
+    version, count, n, blob_len = _IDX_HEADER.unpack_from(head, 8)
     if version != _IDX_VERSION:
         raise ValueError(f"unsupported index version {version}")
-    fingerprint = data[pos - 32 : pos]
-    ids_end = len(data) - count * n * 8  # the matrix fills the rest of the file
-    if ids_end < pos:
+    padded = blob_len + (-blob_len % 8)
+    present = _bytes_left(f)
+    size = 8 * count + padded + 8 * count * n
+    if present < size:
         raise ValueError("truncated index")
-    region = io.BytesIO(data[pos:ids_end])
-    ids = []
-    for _ in range(count):
-        raw = region.read(_ID_LENGTH.size)
-        if len(raw) != _ID_LENGTH.size:
-            raise ValueError("truncated index")
-        (length,) = _ID_LENGTH.unpack(raw)
-        raw = region.read(length)
-        if len(raw) != length:
-            raise ValueError("truncated index")
-        ids.append(raw.decode("utf-8"))
-    if region.tell() != ids_end - pos:
+    if present > size:
         raise ValueError("index size does not match its header")
-    matrix = np.frombuffer(data, dtype="<f8", count=count * n, offset=ids_end).reshape(count, n).copy()
-    return ProductIndex(ids=ids, matrix=matrix, fingerprint=fingerprint)
+    id_rank = _read_array(f, (count,), "<i8")
+    if count and not (
+        id_rank.min() >= 0 and id_rank.max() < count and np.bincount(id_rank, minlength=count).all()
+    ):
+        raise ValueError("index id ranks are not a permutation")
+    raw = f.read(padded)
+    text = raw[:blob_len].decode("utf-8")
+    ids = text.split("\n") if count or text else []  # "" holds one empty id, or none
+    if len(ids) != count or raw[blob_len:] != b"\n" * (padded - blob_len):
+        raise ValueError("index ids do not match its header")
+    matrix = _read_array(f, (count, n))
+    return ProductIndex(ids=ids, matrix=matrix, fingerprint=head[-32:], id_rank=id_rank)

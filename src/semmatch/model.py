@@ -21,9 +21,10 @@ NORM_LAYER = "layer"
 _NORM_CODES = {NORM_NONE: 0, NORM_BATCH: 1, NORM_LAYER: 2}
 _NORM_NAMES = {v: k for k, v in _NORM_CODES.items()}
 
-_CKPT_MAGIC = b"SMMODEL1"
-_CKPT_VERSION = 1
+_CKPT_MAGIC = b"SMMODEL2"
+_CKPT_VERSION = 2
 _CKPT_HEADER = struct.Struct("<IQQIIdd")
+_DIGEST_SIZE = 32  # sha256 of the checkpoint's preceding bytes, at its end
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,9 @@ class EmbeddingModel:
         self.norm_product = norm_product
         self.vocab_v = vocab_v
         self.oov_bins = oov_bins
+        # The digest stored in the checkpoint this model was loaded from, or
+        # None. It equals model_fingerprint(self) until the parameters change.
+        self.checkpoint_digest: bytes | None = None
 
     @property
     def n(self) -> int:
@@ -337,45 +341,70 @@ def backward_batch(cache: ForwardCache, dscores: np.ndarray) -> Gradients:
     return grads
 
 
-def _write_array(f: BinaryIO, a: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+def _bytes_left(f: BinaryIO) -> int:
+    """Bytes from the current position of a seekable file to its end."""
+    start = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(start)
+    return end - start
 
 
-def _read_array(f: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    buf = f.read(8 * int(np.prod(shape)))
-    return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+def _read_array(f: BinaryIO, shape: tuple[int, ...], dtype: str = "<f8") -> np.ndarray:
+    """A new array filled in place from the next bytes of f."""
+    a = np.empty(shape, dtype=dtype)
+    if f.readinto(a) != a.nbytes:
+        raise ValueError("file ended inside an array")
+    return a
+
+
+def _checkpoint_body(model: EmbeddingModel) -> list:
+    """The checkpoint's bytes before its digest: magic, config header, the
+    embedding matrix/matrices and the per-arm normalization state."""
+    cfg = model.config
+    flags = (1 if cfg.shared_embeddings else 0) | (_NORM_CODES[cfg.normalization] << 1)
+    header = _CKPT_HEADER.pack(
+        _CKPT_VERSION,
+        model.vocab_v,
+        model.oov_bins,
+        cfg.embedding_dim,
+        flags,
+        cfg.bn_momentum,
+        cfg.bn_epsilon,
+    )
+    arrays = [model.query_matrix]
+    if not cfg.shared_embeddings:
+        arrays.append(model.product_matrix)
+    for state in (model.norm_query, model.norm_product):
+        arrays += [state.gamma, state.beta, state.running_mean, state.running_var]
+    return [_CKPT_MAGIC + header] + [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+
+
+def _sha256(parts: list) -> bytes:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.digest()
 
 
 def save_model(model: EmbeddingModel, f: BinaryIO) -> None:
-    """Little-endian binary checkpoint; round-trips bit-exactly."""
-    cfg = model.config
-    flags = (1 if cfg.shared_embeddings else 0) | (_NORM_CODES[cfg.normalization] << 1)
-    f.write(_CKPT_MAGIC)
-    f.write(
-        _CKPT_HEADER.pack(
-            _CKPT_VERSION,
-            model.vocab_v,
-            model.oov_bins,
-            cfg.embedding_dim,
-            flags,
-            cfg.bn_momentum,
-            cfg.bn_epsilon,
-        )
-    )
-    _write_array(f, model.query_matrix)
-    if not cfg.shared_embeddings:
-        _write_array(f, model.product_matrix)
-    for state in (model.norm_query, model.norm_product):
-        for a in (state.gamma, state.beta, state.running_mean, state.running_var):
-            _write_array(f, a)
+    """Little-endian binary checkpoint ending in the sha256 of the bytes
+    before it; round-trips bit-exactly."""
+    parts = _checkpoint_body(model)
+    for part in parts:
+        f.write(part)
+    f.write(_sha256(parts))
 
 
 def load_model(f: BinaryIO) -> EmbeddingModel:
     """Read a checkpoint written by save_model. A file shorter or longer than
-    its header implies raises ValueError."""
+    its header implies raises ValueError.
+
+    The digest at the end of the file is kept as the model's
+    checkpoint_digest without being checked against the parameters: hashing
+    them costs more than a query."""
     magic = f.read(8)
     if magic != _CKPT_MAGIC:
-        raise ValueError("not a model checkpoint (bad magic)")
+        raise ValueError(f"not a version-{_CKPT_VERSION} model checkpoint (magic {magic!r})")
     header = f.read(_CKPT_HEADER.size)
     if len(header) != _CKPT_HEADER.size:
         raise ValueError("truncated checkpoint")
@@ -383,7 +412,7 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     shared = bool(flags & 1)
-    norm = _NORM_NAMES.get((flags >> 1) & 0b11)
+    norm = _NORM_NAMES.get(flags >> 1)  # set bits above the code are unknown too
     if norm is None:
         raise ValueError(f"unknown normalization code in checkpoint flags {flags}")
     cfg = ModelConfig(
@@ -394,10 +423,8 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
         bn_epsilon=epsilon,
     )
     rows = v + bins + 1
-    size = 8 * (rows * n * (1 if shared else 2) + 8 * n)
-    start = f.tell()
-    present = f.seek(0, io.SEEK_END) - start
-    f.seek(start)
+    size = 8 * (rows * n * (1 if shared else 2) + 8 * n) + _DIGEST_SIZE
+    present = _bytes_left(f)
     if present < size:
         raise ValueError("truncated checkpoint")
     if present > size:
@@ -408,7 +435,9 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
     for _ in range(2):
         vecs = [_read_array(f, (n,)) for _ in range(4)]
         states.append(NormState(*vecs))
-    return EmbeddingModel(cfg, qm, pm, states[0], states[1], v, bins)
+    model = EmbeddingModel(cfg, qm, pm, states[0], states[1], v, bins)
+    model.checkpoint_digest = f.read(_DIGEST_SIZE)
+    return model
 
 
 def serialize_model(model: EmbeddingModel) -> bytes:
@@ -418,5 +447,6 @@ def serialize_model(model: EmbeddingModel) -> bytes:
 
 
 def model_fingerprint(model: EmbeddingModel) -> bytes:
-    """32-byte digest identifying the exact parameter state."""
-    return hashlib.sha256(serialize_model(model)).digest()
+    """32-byte digest identifying the exact parameter state: the digest that
+    save_model writes at the end of the checkpoint."""
+    return _sha256(_checkpoint_body(model))

@@ -1,15 +1,20 @@
 """End-to-end CLI pipeline tests."""
 
+import contextlib
 import dataclasses
+import io
 import os
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semmatch.cli import main
 from semmatch.config import RunConfig, load_run_config, parse_config_file
+from semmatch.index import load_index
 from semmatch.losses import LossSpec
-from semmatch.model import ModelConfig
+from semmatch.model import ModelConfig, load_model
 from semmatch.synth import SynthConfig
 from semmatch.tokenizer import TokenizerConfig
 from semmatch.training import TrainConfig
@@ -104,9 +109,18 @@ def derived(tmp_path_factory):
     return cfg, paths
 
 
-def query_args(cfg, paths, model=None):
-    return ["query", "--text", "red shoe", "--index", paths["index.bin"],
-            "--model", model or paths["model.bin"], "--vocab", paths["vocab.txt"], "--config", cfg]
+def query_args(cfg, paths, model=None, index=None, vocab=None):
+    return ["query", "--text", "red shoe", "--index", index or paths["index.bin"],
+            "--model", model or paths["model.bin"], "--vocab", vocab or paths["vocab.txt"],
+            "--config", cfg]
+
+
+def run_quiet(args):
+    """Exit status and the stderr lines other than `config:` echoes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = run(args)
+    return status, [line for line in err.getvalue().splitlines() if not line.startswith("config: ")]
 
 
 class TestConfig:
@@ -297,7 +311,113 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if not line.startswith("config: ")] == ["error: truncated checkpoint"]
 
+    def test_index_from_other_model_exits_one(self, derived, tmp_path):
+        cfg, paths = derived
+        other_cfg = tmp_path / "seed4.cfg"
+        other_cfg.write_text(DERIVED_CONFIG.replace("seed = 3", "seed = 4"))
+        other_model, other_index = tmp_path / "model4.bin", tmp_path / "index4.bin"
+        assert run(["train", "--records", paths["recs.bin"], "--vocab", paths["vocab.txt"],
+                    "--config", other_cfg, "--out", other_model]) == 0
+        assert other_model.read_bytes() != paths["model.bin"].read_bytes()
+        assert run(["embed-products", "--catalog", paths["data"] / "catalog.tsv", "--model", other_model,
+                    "--vocab", paths["vocab.txt"], "--config", other_cfg, "--out", other_index]) == 0
+        assert run_quiet(query_args(cfg, paths, model=other_model))[0] == 1  # seed-3 index
+        status, err = run_quiet(query_args(cfg, paths, index=other_index))  # seed-3 model
+        assert status == 1
+        assert err == ["error: the index was built from another model (its fingerprint differs)"]
+
+    def test_vocabulary_model_mismatch_exits_one(self, derived, tmp_path):
+        cfg, paths = derived
+        other_cfg, other_vocab = tmp_path / "bins.cfg", tmp_path / "vocab7.txt"
+        other_cfg.write_text(DERIVED_CONFIG + "tokenizer.oov_bins = 7\n")
+        assert run(["build-vocab", "--input", paths["data"] / "logs.tsv", "--config", other_cfg,
+                    "--out", other_vocab]) == 0
+        for args in (
+            query_args(cfg, paths, vocab=other_vocab),
+            ["embed-products", "--catalog", paths["data"] / "catalog.tsv", "--model", paths["model.bin"],
+             "--vocab", other_vocab, "--config", cfg, "--out", tmp_path / "index.bin"],
+            ["evaluate", "--task", "both", "--model", paths["model.bin"], "--vocab", other_vocab,
+             "--config", cfg, "--data", paths["data"]],
+        ):
+            status, err = run_quiet(args)
+            assert status == 1, args[0]
+            assert len(err) == 1 and err[0].startswith("error: vocabulary (V="), args[0]
+            assert "B=7) does not match the model" in err[0]
+        assert not (tmp_path / "index.bin").exists()
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+ARTIFACTS = {"index.bin": load_index, "model.bin": load_model}
+CORRUPTION = settings(max_examples=60, deadline=None)
+FIELD_BITS = 32 * 8  # both files: magic, version, then count, n and blob length, or V, B and n
+
+
+def index_blob_end(blob):
+    """Where the index's id blob and its padding end: the matrix starts there."""
+    count, _, blob_len = struct.unpack_from("<QIQ", blob, 12)
+    return 64 + 8 * count + blob_len + (-blob_len % 8)
+
+
+class TestCorruptArtifacts:
+    """A damaged index.bin or model.bin is rejected with ValueError by its
+    loader, and with one `error:` line and exit 1 by `semmatch query`: a file
+    cut short inside the index's header, id ranks or id blob, or anywhere in
+    a checkpoint; a bit flipped in a magic, version, count, size or
+    blob-length field; id ranks that are not a permutation; a version-1
+    magic. tests/test_index.py and tests/test_model.py try every cut and
+    every header bit on the loaders alone.
+
+    Not detected: a bit flip inside the float payload (the index matrix, the
+    embeddings and normalization state), in the checkpoint's normalization
+    code, momentum or epsilon, or one that leaves the id ranks a
+    permutation. Finding those needs the payload hashed, which costs more
+    than a query. A flip in the index's stored fingerprint or the
+    checkpoint's digest loads, and `query` rejects the pair as a mismatch.
+    """
+
+    @staticmethod
+    def assert_rejected(derived, name, damaged):
+        cfg, paths = derived
+        with pytest.raises(ValueError):
+            ARTIFACTS[name](io.BytesIO(damaged))
+        path = paths[name].with_name("damaged-" + name)
+        path.write_bytes(damaged)
+        status, err = run_quiet(query_args(cfg, paths, **{name.split(".")[0]: path}))
+        assert status == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @CORRUPTION
+    @given(data=st.data())
+    def test_cut(self, derived, data):
+        name = data.draw(st.sampled_from(sorted(ARTIFACTS)))
+        blob = derived[1][name].read_bytes()
+        end = index_blob_end(blob) if name == "index.bin" else len(blob)
+        self.assert_rejected(derived, name, blob[: data.draw(st.integers(0, end - 1))])
+
+    @CORRUPTION
+    @given(data=st.data())
+    def test_field_bit_flip(self, derived, data):
+        name = data.draw(st.sampled_from(sorted(ARTIFACTS)))
+        bit = data.draw(st.integers(0, FIELD_BITS - 1))
+        damaged = bytearray(derived[1][name].read_bytes())
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        self.assert_rejected(derived, name, bytes(damaged))
+
+    @CORRUPTION
+    @given(data=st.data())
+    def test_rank_not_a_permutation(self, derived, data):
+        blob = bytearray(derived[1]["index.bin"].read_bytes())
+        count = struct.unpack_from("<Q", blob, 12)[0]
+        at = 64 + 8 * data.draw(st.integers(0, count - 1))  # the ranks follow the fingerprint
+        old = struct.unpack_from("<q", blob, at)[0]
+        new = data.draw(st.integers(-2, count + 1).filter(lambda v: v != old))
+        struct.pack_into("<q", blob, at, new)
+        self.assert_rejected(derived, "index.bin", bytes(blob))
+
+    @pytest.mark.parametrize("name,magic", [("index.bin", b"SMINDEX1"), ("model.bin", b"SMMODEL1")])
+    def test_version_1_magic(self, derived, name, magic):
+        self.assert_rejected(derived, name, magic + derived[1][name].read_bytes()[8:])

@@ -1,6 +1,7 @@
 """Exact retrieval and index serialization tests."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -54,6 +55,11 @@ class TestBuildIndex:
         vocab, model, _ = setup
         with pytest.raises(ValueError):
             build_index(CATALOG + [("P1", "again")], model, vocab, TC)
+
+    def test_newline_id_rejected(self, setup):
+        vocab, model, _ = setup
+        with pytest.raises(ValueError, match="newline"):
+            build_index(CATALOG + [("P6\nP7", "red")], model, vocab, TC)
 
     def test_fingerprint_matches_model(self, setup):
         _, model, index = setup
@@ -152,6 +158,38 @@ class TestIndexFile:
         save_index(loaded, buf2)
         assert buf2.getvalue() == blob
 
+    @pytest.mark.parametrize(
+        "catalog",
+        [[], [("", "red shoe")], [("Pé", "red"), ("Pe\u0301", "blue"), ("产品-7", "hat"), ("P1", "coat")]],
+        ids=["empty", "one-empty-id", "non-ascii"],
+    )
+    def test_edge_catalogs_roundtrip_bitwise(self, setup, catalog):
+        vocab, model, _ = setup
+        index = build_index(catalog, model, vocab, TC)
+        buf = io.BytesIO()
+        save_index(index, buf)
+        blob = buf.getvalue()
+        ids = "\n".join(pid for pid, _ in catalog).encode("utf-8")
+        assert struct.unpack_from("<Q", blob, 24)[0] == len(ids)  # the blob-length field
+        loaded = load_index(io.BytesIO(blob))
+        assert loaded.ids == index.ids == [pid for pid, _ in catalog]
+        assert loaded.matrix.tobytes() == index.matrix.tobytes()
+        assert loaded._id_rank.tobytes() == index._id_rank.tobytes()
+        again = io.BytesIO()
+        save_index(loaded, again)
+        assert again.getvalue() == blob
+
+    def test_loaded_arrays_owned_and_writable(self, setup, tmp_path):
+        _, _, index = setup
+        path = tmp_path / "index.bin"
+        with open(path, "wb") as f:
+            save_index(index, f)
+        with open(path, "rb") as f:
+            loaded = load_index(f)
+        for a in (loaded.matrix, loaded._id_rank):
+            assert a.flags.owndata and a.flags.writeable
+        assert loaded._id_rank.tobytes() == index._id_rank.tobytes()
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             load_index(io.BytesIO(b"NOTINDEX" + b"\x00" * 40))
@@ -166,6 +204,21 @@ class TestIndexFile:
                 load_index(io.BytesIO(blob[:cut]))
         with pytest.raises(ValueError):
             load_index(io.BytesIO(blob + b"\0"))
+
+    def test_header_bit_flips_rejected(self, setup):
+        # Every bit of the magic, version, count, n and blob length. The id
+        # blob is 14 bytes, so some blob-length flips stay inside the padding
+        # and only the padding and the id count can reject them.
+        _, _, index = setup
+        buf = io.BytesIO()
+        save_index(index, buf)
+        blob = buf.getvalue()
+        assert struct.unpack_from("<Q", blob, 24)[0] % 8 != 0
+        for bit in range(32 * 8):
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(ValueError):
+                load_index(io.BytesIO(bytes(damaged)))
 
     def test_roundtrip_preserves_ranking(self, setup):
         vocab, model, index = setup

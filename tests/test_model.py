@@ -313,7 +313,7 @@ class TestCheckpoint:
 
     def test_truncated_rejected(self):
         blob = serialize_model(make_model())
-        for cut in (12, 30, 51, len(blob) // 2, len(blob) - 1):  # the header is bytes 8..52
+        for cut in range(len(blob)):  # the header is bytes 8..52, the digest the last 32
             with pytest.raises(ValueError):
                 load_model(io.BytesIO(blob[:cut]))
         huge = bytearray(blob)
@@ -328,9 +328,40 @@ class TestCheckpoint:
 
     def test_unknown_norm_code_rejected(self):
         blob = bytearray(serialize_model(make_model()))
-        blob[32:36] = struct.pack("<I", 3 << 1)  # flags: normalization code 3
-        with pytest.raises(ValueError, match="normalization"):
+        for flags in (3 << 1, 1 << 3):  # normalization code 3, or a bit above the code
+            blob[32:36] = struct.pack("<I", flags)
+            with pytest.raises(ValueError, match="normalization"):
+                load_model(io.BytesIO(bytes(blob)))
+
+    def test_header_bit_flips_rejected(self):
+        blob = serialize_model(make_model())
+        for bit in range(32 * 8):  # magic, version, V, B and n
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(ValueError):
+                load_model(io.BytesIO(bytes(damaged)))
+
+    def test_version_1_rejected(self):
+        blob = bytearray(serialize_model(make_model()))
+        blob[:8] = b"SMMODEL1"
+        with pytest.raises(ValueError, match="version-2"):
             load_model(io.BytesIO(bytes(blob)))
+
+    @pytest.mark.parametrize("norm", ["none", "batch"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_stored_digest_is_fingerprint(self, norm, shared):
+        model = make_model(shared=shared, norm=norm, seed=4)
+        assert model.checkpoint_digest is None
+        blob = serialize_model(model)
+        loaded = load_model(io.BytesIO(blob))
+        assert loaded.checkpoint_digest == blob[-32:] == model_fingerprint(model)
+        assert model_fingerprint(loaded) == loaded.checkpoint_digest
+
+    def test_loaded_arrays_owned_and_writable(self):
+        loaded = load_model(io.BytesIO(serialize_model(make_model(shared=False, norm="batch"))))
+        for a in (loaded.query_matrix, loaded.product_matrix, loaded.norm_query.gamma,
+                  loaded.norm_product.running_var):
+            assert a.flags.owndata and a.flags.writeable
 
     def test_save_load_file_roundtrip(self, tmp_path):
         model = make_model(norm="batch", seed=9)
