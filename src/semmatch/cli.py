@@ -166,6 +166,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_shard_check(args: argparse.Namespace) -> int:
     from .model import ModelConfig, NormState, EmbeddingModel, forward_batch
 
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     v = 200
     cfg = ModelConfig(embedding_dim=args.dim, shared_embeddings=True, normalization="none")

@@ -440,12 +440,6 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
     return model
 
 
-def serialize_model(model: EmbeddingModel) -> bytes:
-    buf = io.BytesIO()
-    save_model(model, buf)
-    return buf.getvalue()
-
-
 def model_fingerprint(model: EmbeddingModel) -> bytes:
     """32-byte digest identifying the exact parameter state: the digest that
     save_model writes at the end of the checkpoint."""

@@ -4,12 +4,11 @@ partial sums of squares) per scored pair."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NORM_LAYER, NORM_NONE, EmbeddingModel, NormState, pool_batch
+from .model import NORM_LAYER, EmbeddingModel, normalize_batch, pool_batch
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,6 @@ class ShardPlan:
         return slice(self.r * shard, self.r * (shard + 1))
 
 
-@dataclass(frozen=True)
-class ShardPartials:
-    partial_dot: float
-    partial_sq_a: float
-    partial_sq_b: float
-
-
 @dataclass
 class CommLedger:
     """Message accounting for the simulated exchange."""
@@ -50,88 +42,27 @@ class CommLedger:
         return self.scalars_returned / self.pairs if self.pairs else 0.0
 
 
-@dataclass
-class ModelShard:
-    """One worker's immutable slice of the model: a column block of each
-    arm's matrix plus the matching per-dimension normalization state."""
-
-    index: int
-    dims: slice
-    query_cols: np.ndarray
-    product_cols: np.ndarray
-    norm_query: NormState
-    norm_product: NormState
+def shard_partials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One shard's reply for a batch of pairs: a (B, 3) array of the partial
+    dot product and the two partial sums of squares over its columns."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError("shard slices must be (pairs, columns) arrays of one shape")
+    return np.stack([(a * b).sum(axis=1), (a * a).sum(axis=1), (b * b).sum(axis=1)], axis=1)
 
 
-def _slice_norm(state: NormState, dims: slice) -> NormState:
-    return NormState(
-        gamma=state.gamma[dims].copy(),
-        beta=state.beta[dims].copy(),
-        running_mean=state.running_mean[dims].copy(),
-        running_var=state.running_var[dims].copy(),
-    )
-
-
-def split_model(model: EmbeddingModel, n: int) -> list[ModelShard]:
-    """Split the embedding dimension into n column blocks.
-
-    Layer normalization couples dimensions across shard boundaries and is
-    rejected; batch normalization (inference stats) and 'none' are
-    per-dimension and shard exactly.
-    """
-    if model.config.normalization == NORM_LAYER:
-        raise ValueError("layer normalization cannot be sharded along the embedding dimension")
-    plan = ShardPlan(n=n, k=model.n)
-    shards = []
-    for s in range(n):
-        dims = plan.owned(s)
-        shards.append(
-            ModelShard(
-                index=s,
-                dims=dims,
-                query_cols=model.query_matrix[:, dims].copy(),
-                product_cols=model.product_matrix[:, dims].copy(),
-                norm_query=_slice_norm(model.norm_query, dims),
-                norm_product=_slice_norm(model.norm_product, dims),
-            )
-        )
-    return shards
-
-
-def shard_partials(a_slice: np.ndarray, b_slice: np.ndarray) -> ShardPartials:
-    a_slice = np.asarray(a_slice, dtype=np.float64)
-    b_slice = np.asarray(b_slice, dtype=np.float64)
-    if a_slice.shape != b_slice.shape:
-        raise ValueError("shard slices must have the same length")
-    return ShardPartials(
-        partial_dot=float(np.dot(a_slice, b_slice)),
-        partial_sq_a=float(np.dot(a_slice, a_slice)),
-        partial_sq_b=float(np.dot(b_slice, b_slice)),
-    )
-
-
-def aggregate(partials: list[ShardPartials]) -> float:
-    """Combine per-shard partials into the full cosine score."""
-    if not partials:
-        raise ValueError("need at least one shard's partials")
-    dot = sum(p.partial_dot for p in partials)
-    sq_a = sum(p.partial_sq_a for p in partials)
-    sq_b = sum(p.partial_sq_b for p in partials)
-    if sq_a == 0.0 or sq_b == 0.0:
-        return 0.0
-    return dot / (math.sqrt(sq_a) * math.sqrt(sq_b))
-
-
-def _shard_embed(shard: ModelShard, ids: np.ndarray, arm: str, eps: float, mode: str) -> np.ndarray:
-    cols = shard.query_cols if arm == "query" else shard.product_cols
-    state = shard.norm_query if arm == "query" else shard.norm_product
-    pooled, counts = pool_batch(ids, cols)
-    if mode != NORM_NONE:
-        pooled = state.gamma * (pooled - state.running_mean) / np.sqrt(
-            state.running_var + eps
-        ) + state.beta
-        pooled[counts == 0] = 0.0  # empty bags stay inert on every shard
-    return pooled
+def _embed(ids: np.ndarray, arm: str, model: EmbeddingModel, block: int) -> np.ndarray:
+    """Pooled and inference-normalized rows of one arm. Pooling runs in
+    blocks of `block` bags, so the gather never exceeds (block, L, k) floats;
+    pooling and inference normalization act per dimension, so any column
+    block of the result is what pooling that block of columns alone gives."""
+    matrix = model.matrix_for(arm)
+    pooled = np.empty((len(ids), model.n), dtype=np.float64)
+    for start in range(0, len(ids), block):
+        pooled[start : start + block], _ = pool_batch(ids[start : start + block], matrix)
+    out, _ = normalize_batch(pooled, arm, model, "infer")
+    return out
 
 
 def simulate(
@@ -144,40 +75,38 @@ def simulate(
     """Score pairs through independent shards, counting messages.
 
     Each pair costs one input broadcast per shard and, in the decomposed
-    mode, exactly 3 scalars returned per shard. The naive mode instead
-    ships each shard's full r-length embedding slices (2k scalars total).
+    mode, exactly 3 scalars returned per shard; the coordinator sums the
+    shards' (B, 3) partials in shard order. The naive mode instead ships
+    each shard's full r-length embedding slices (2k scalars total). Pairs
+    with an empty bag or a zero-norm side score 0. Layer normalization
+    couples dimensions across shard boundaries and is rejected.
     """
     if plan.k != model.n:
         raise ValueError("plan dimension does not match model embedding dimension")
-    shards = split_model(model, plan.n)
-    eps = model.config.bn_epsilon
-    mode = model.config.normalization
+    if model.config.normalization == NORM_LAYER:
+        raise ValueError("layer normalization cannot be sharded along the embedding dimension")
+    q_ids, p_ids = np.asarray(q_ids), np.asarray(p_ids)
     batch = len(q_ids)
-    ledger = CommLedger()
-    per_shard_a = []
-    per_shard_b = []
-    for shard in shards:
-        per_shard_a.append(_shard_embed(shard, q_ids, "query", eps, mode))
-        per_shard_b.append(_shard_embed(shard, p_ids, "product", eps, mode))
-    ledger.pairs = batch
-    ledger.input_broadcasts = batch * plan.n
+    if len(p_ids) != batch:
+        raise ValueError(f"{batch} query bags but {len(p_ids)} product bags")
+    # Each shard used to gather (B, L, k/n) floats; pooling ceil(B/n) bags
+    # of all k columns at a time keeps the gather that size.
+    block = max(1, -(-batch // plan.n))
+    a = _embed(q_ids, "query", model, block)
+    b = _embed(p_ids, "product", model, block)
+    if naive:
+        totals = shard_partials(a, b)
+        scalars = 2 * plan.k * batch
+    else:
+        totals = shard_partials(a[:, plan.owned(0)], b[:, plan.owned(0)])
+        for s in range(1, plan.n):
+            totals += shard_partials(a[:, plan.owned(s)], b[:, plan.owned(s)])
+        scalars = 3 * plan.n * batch
+    dot, sq_a, sq_b = totals.T
+    ok = (sq_a > 0.0) & (sq_b > 0.0)
+    ok &= np.count_nonzero(q_ids, axis=1) > 0
+    ok &= np.count_nonzero(p_ids, axis=1) > 0
     scores = np.zeros(batch, dtype=np.float64)
-    q_counts = np.count_nonzero(q_ids, axis=1)
-    p_counts = np.count_nonzero(p_ids, axis=1)
-    for i in range(batch):
-        if naive:
-            a = np.concatenate([sa[i] for sa in per_shard_a])
-            b = np.concatenate([sb[i] for sb in per_shard_b])
-            ledger.scalars_returned += 2 * plan.k
-            partials = [shard_partials(a, b)]
-        else:
-            partials = [
-                shard_partials(per_shard_a[s][i], per_shard_b[s][i])
-                for s in range(plan.n)
-            ]
-            ledger.scalars_returned += 3 * plan.n
-        score = aggregate(partials)
-        if q_counts[i] == 0 or p_counts[i] == 0:
-            score = 0.0
-        scores[i] = score
+    np.divide(dot, np.sqrt(sq_a) * np.sqrt(sq_b), out=scores, where=ok)
+    ledger = CommLedger(pairs=batch, input_broadcasts=plan.n * batch, scalars_returned=scalars)
     return scores, ledger

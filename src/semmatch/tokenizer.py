@@ -90,13 +90,6 @@ class TokenizerConfig:
         return budget
 
 
-def word_unigrams(text: str, config: TokenizerConfig) -> list[str]:
-    """Split on whitespace runs, lowercasing first when configured."""
-    if config.lowercase:
-        text = text.lower()
-    return text.split()
-
-
 def word_ngrams(tokens: list[str], n: int) -> list[str]:
     """Consecutive n-word windows joined with '#'. Empty when len(tokens) < n."""
     if n < 2:
@@ -171,11 +164,6 @@ class Vocabulary:
         if self.oov_bins > 0:
             return hash_oov(token_class, token, self.oov_bins, self.v)
         return 0
-
-    @property
-    def total_rows(self) -> int:
-        """Embedding rows needed: reserved 0, V in-vocab, B bins."""
-        return self.v + self.oov_bins + 1
 
     def max_tokens(self, side: str, config: TokenizerConfig) -> int:
         """The bag length of a side: the config's, else the one derived when

@@ -1,5 +1,7 @@
 """Single-item forms of the batch model API, for tests that check one bag,
-one pair or one vector at a time."""
+one pair or one vector at a time, and one model's checkpoint bytes."""
+
+import io
 
 import numpy as np
 
@@ -9,6 +11,7 @@ from semmatch.model import (
     forward_batch,
     normalize_batch,
     pool_batch,
+    save_model,
 )
 from semmatch.tokenizer import TokenBag
 
@@ -40,3 +43,9 @@ def forward(
     scores, cache = forward_batch(query_bag.ids[None, :], product_bag.ids[None, :], model, phase)
     return float(scores[0]), cache
 
+
+def serialize_model(model: EmbeddingModel) -> bytes:
+    """The bytes save_model writes for one model."""
+    buf = io.BytesIO()
+    save_model(model, buf)
+    return buf.getvalue()

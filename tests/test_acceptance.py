@@ -29,7 +29,6 @@ from semmatch.model import (
     backward_batch,
     forward_batch,
     load_model,
-    serialize_model,
 )
 from semmatch.sharding import ShardPlan, simulate
 from semmatch.synth import SynthConfig, _generate
@@ -50,6 +49,7 @@ from semmatch.training import (
     read_records,
     train,
 )
+from single_item import serialize_model
 
 
 def report(capsys, num, ok, detail):

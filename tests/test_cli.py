@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import os
+import re
 import struct
 
 import pytest
@@ -252,6 +253,16 @@ class TestPipeline:
         assert run(["shard-check", "--n", 4, "--dim", 32, "--pairs", 50]) == 0
         out = capsys.readouterr().out
         assert "3n = 12" in out
+        deviation = re.search(r"max \|sharded - direct\| = (\S+)", out)
+        assert float(deviation.group(1)) < 1e-12
+        assert "(12.0 per pair," in out
+
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_shard_check_rejects_too_few_pairs(self, capsys, pairs):
+        assert run(["shard-check", "--n", 4, "--dim", 32, "--pairs", pairs]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --pairs must be >= 1, got {pairs}\n"
+        assert captured.out == ""
 
 
 class TestErrors:

