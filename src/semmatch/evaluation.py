@@ -1,14 +1,16 @@
-"""Matching and ranking evaluation: Recall@K, MAP, NDCG, and MRR."""
+"""Matching and ranking evaluation: Recall@K, MAP, NDCG, and MRR, all computed
+from the 1-based ranks of the relevant items."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .index import ProductIndex, _embed_texts, embed_query, positions, rank_all
+from .index import ProductIndex, _embed_texts, embed_query
 from .model import EmbeddingModel
 from .synth import LogRecord
 from .tokenizer import TokenizerConfig, Vocabulary
@@ -43,47 +45,28 @@ def load_eval_queries(logs: Iterable[LogRecord]) -> list[EvalQuery]:
     return [by_query[t] for t in order]
 
 
-def recall_at_k(ranked: Sequence[str], relevant: set[str], k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not relevant:
-        raise ValueError("recall undefined for an empty relevant set")
-    return len(set(ranked[:k]) & relevant) / len(relevant)
+def positions(scores: np.ndarray, rows: np.ndarray, tie_rank: np.ndarray) -> np.ndarray:
+    """1-based positions of `rows` in the full (score desc, tie_rank asc) order
+    of `scores`, counted without sorting."""
+    s = scores[rows][:, None]
+    ahead = (scores > s) | ((scores == s) & (tie_rank < tie_rank[rows][:, None]))
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
-def average_precision(
-    ranked: Sequence[str], relevant: set[str], cutoff: int = 100
-) -> float:
-    if not relevant:
-        raise ValueError("average precision undefined for an empty relevant set")
-    hits = 0
-    total = 0.0
-    for rank, pid in enumerate(ranked[:cutoff], start=1):
-        if pid in relevant:
-            hits += 1
-            total += hits / rank
-    return total / len(relevant)
+def _dcg(ranks: Iterable[int], gains: Iterable[float]) -> float:
+    """Sum of gain / log2(rank + 1), in the order given."""
+    return sum(g / math.log2(r + 1) for r, g in zip(ranks, gains))
 
 
-def ndcg(ranked: Sequence[str], gains: Mapping[str, float]) -> float:
-    positive = sorted((g for g in gains.values() if g > 0), reverse=True)
-    if not positive:
-        raise ValueError("ndcg undefined when all gains are zero")
-    dcg = sum(
-        gains.get(pid, 0.0) / math.log2(rank + 1)
-        for rank, pid in enumerate(ranked, start=1)
-    )
-    idcg = sum(g / math.log2(rank + 1) for rank, g in enumerate(positive, start=1))
-    return dcg / idcg
+def _ndcg(ranks: list[int], gains: list[float], relevant_gains: list[float]) -> float:
+    """`gains` of the items at ascending 1-based `ranks`, over the DCG of every
+    relevant gain (ranked or not) placed first, largest first."""
+    ideal = sorted(relevant_gains, reverse=True)
+    return _dcg(ranks, gains) / _dcg(range(1, len(ideal) + 1), ideal)
 
 
-def mrr(ranked: Sequence[str], relevant: set[str]) -> float:
-    if not relevant:
-        raise ValueError("mrr undefined for an empty relevant set")
-    for rank, pid in enumerate(ranked, start=1):
-        if pid in relevant:
-            return 1.0 / rank
-    return 0.0
+def _mrr(ranks: list[int]) -> float:
+    return 1.0 / ranks[0] if ranks else 0.0
 
 
 @dataclass
@@ -111,35 +94,36 @@ def run_matching_eval(
     vocab: Vocabulary,
     config: TokenizerConfig,
     k: int = 100,
-    map_cutoff: int | None = None,
 ) -> MetricReport:
-    """Rank the whole corpus per query; purchased items are the relevant set.
+    """Score the whole corpus per query; purchased items are the relevant set.
 
-    Recall@k and AP@cutoff read the head of the ranking; NDCG and MRR over the
-    full ranking need only each purchased product's position in it.
+    Every metric comes from the ascending ranks of the purchased products in
+    the full (score desc, id asc) order: Recall@k and AP@k from those within
+    k, NDCG and MRR from all of them. A purchased product missing from the
+    index has no rank and counts only in the denominators and the IDCG.
     """
-    cutoff = map_cutoff if map_cutoff is not None else k
+    if k < 1:
+        raise ValueError("k must be >= 1")
     row_of = {pid: i for i, pid in enumerate(index.ids)}
     report = MetricReport()
     for q in queries:
-        relevant = set(q.purchased)
-        if not relevant:
+        n = len(q.purchased)
+        if not n:
             report.skipped += 1
             continue
-        qvec = embed_query(q.text, model, vocab, config)
-        scores, head = rank_all(qvec, index, max(k, cutoff))
-        ranked_head = [index.ids[i] for i in head]
-        # Purchased products missing from the index count in the IDCG only.
-        rows = np.array([row_of[pid] for pid in relevant if pid in row_of], dtype=np.intp)
-        ranks = sorted(positions(scores, rows, index).tolist())
-        dcg = sum(1.0 / math.log2(rank + 1) for rank in ranks)
-        idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, len(relevant) + 1))
+        scores = index.matrix @ embed_query(q.text, model, vocab, config)
+        rows = np.array([row_of[pid] for pid in q.purchased if pid in row_of], dtype=np.intp)
+        ranks = sorted(positions(scores, rows, index._id_rank).tolist())
+        hits = bisect.bisect_right(ranks, k)
+        ap = 0.0  # precision at each hit within k, added in rank order
+        for j, rank in enumerate(ranks[:hits], start=1):
+            ap += j / rank
         report.add(
             {
-                "recall": recall_at_k(ranked_head, relevant, k),
-                "map": average_precision(ranked_head, relevant, cutoff),
-                "matching_ndcg": dcg / idcg,
-                "matching_mrr": 1.0 / ranks[0] if ranks else 0.0,
+                "recall": hits / n,
+                "map": ap / n,
+                "matching_ndcg": _ndcg(ranks, [1.0] * len(ranks), [1.0] * n),
+                "matching_mrr": _mrr(ranks),
             }
         )
     report.finalize()
@@ -153,7 +137,8 @@ def run_ranking_eval(
     vocab: Vocabulary,
     config: TokenizerConfig,
 ) -> MetricReport:
-    """Rank each query's purchased+impressed candidates by model score."""
+    """Rank each query's purchased+impressed candidates by model score, ties
+    by id; purchase counts are the gains."""
     report = MetricReport()
     for q in queries:
         if not q.purchased or not q.impressed:
@@ -165,15 +150,11 @@ def run_ranking_eval(
             [product_texts[pid] for pid in candidates], "product", model, vocab, config
         )
         scores = cand_matrix @ qvec
-        order = np.lexsort((np.arange(len(candidates)), -scores))
-        ranked = [candidates[i] for i in order]
-        gains = {pid: float(c) for pid, c in q.purchased.items()}
-        report.add(
-            {
-                "ranking_ndcg": ndcg(ranked, gains),
-                "ranking_mrr": mrr(ranked, set(q.purchased)),
-            }
-        )
+        rows = np.array([i for i, pid in enumerate(candidates) if pid in q.purchased], dtype=np.intp)
+        ranked = sorted(zip(positions(scores, rows, np.arange(len(candidates))).tolist(), rows.tolist()))
+        ranks = [rank for rank, _ in ranked]
+        gains = [float(q.purchased[candidates[i]]) for _, i in ranked]
+        report.add({"ranking_ndcg": _ndcg(ranks, gains, gains), "ranking_mrr": _mrr(ranks)})
     report.finalize()
     return report
 

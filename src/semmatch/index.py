@@ -122,14 +122,6 @@ def rank_all(
     return scores, head
 
 
-def positions(scores: np.ndarray, rows: np.ndarray, index: ProductIndex) -> np.ndarray:
-    """1-based positions of `rows` in the full (score desc, id asc) order of
-    `scores`, counted without sorting."""
-    s = scores[rows][:, None]
-    ahead = (scores > s) | ((scores == s) & (index._id_rank < index._id_rank[rows][:, None]))
-    return 1 + np.count_nonzero(ahead, axis=1)
-
-
 def top_k(
     query_text: str,
     index: ProductIndex,

@@ -224,7 +224,7 @@ class ForwardCache:
     a: np.ndarray  # normalized query embeddings
     b: np.ndarray  # normalized product embeddings
     scores: np.ndarray
-    empty: np.ndarray  # bool mask: either side had valid_count 0
+    empty: np.ndarray  # bool mask: either side had an empty bag
     shared: bool
 
 

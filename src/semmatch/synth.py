@@ -310,11 +310,15 @@ def gen_synthetic(config: SynthConfig, out_dir: str) -> dict[str, str]:
 
 
 def read_catalog(stream: Iterable[str]) -> list[tuple[str, str]]:
+    """(product id, text) from `id<TAB>text` lines; blank lines are skipped.
+    A line without a tab or with an empty id raises ValueError naming it."""
     out = []
-    for line in stream:
+    for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
-        pid, text = line.split("\t", 1)
+        pid, tab, text = line.partition("\t")
+        if not tab or not pid:
+            raise ValueError(f"catalog line {lineno}: expected a product id, a tab and its text: {line!r}")
         out.append((pid, text))
     return out

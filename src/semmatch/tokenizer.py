@@ -153,7 +153,6 @@ class Vocabulary:
     token_to_id: dict[tuple[str, str], int]
     v: int
     oov_bins: int
-    class_counts: dict[str, int]
     derived_query_max: int | None = None
     derived_product_max: int | None = None
 
@@ -184,7 +183,6 @@ class TokenBag:
     """Fixed-length id sequence for one text, right-padded with 0."""
 
     ids: np.ndarray
-    valid_count: int
 
 
 def _nearest_rank_percentile(values: list[int], q: float) -> int:
@@ -216,16 +214,13 @@ def build_vocabulary(
         raise ValueError("empty corpus: no records to build a vocabulary from")
 
     token_to_id: dict[tuple[str, str], int] = {}
-    class_counts: dict[str, int] = {}
     next_id = 1
     for token_class in config.enabled_classes():
         budget = config.budget_for(token_class)
         ranked = sorted(counts[token_class].items(), key=lambda kv: (-kv[1], kv[0]))
-        kept = ranked[:budget]
-        for token, _freq in kept:
+        for token, _freq in ranked[:budget]:
             token_to_id[(token_class, token)] = next_id
             next_id += 1
-        class_counts[token_class] = len(kept)
 
     derived_q = derived_p = None
     if config.query_max_tokens is None and lengths["query"]:
@@ -237,7 +232,6 @@ def build_vocabulary(
         token_to_id=token_to_id,
         v=next_id - 1,
         oov_bins=config.oov_bins,
-        class_counts=class_counts,
         derived_query_max=derived_q,
         derived_product_max=derived_p,
     )
@@ -252,7 +246,7 @@ def encode(
     ids = ids[:max_len]
     out = np.zeros(max_len, dtype=np.int64)
     out[: len(ids)] = ids
-    return TokenBag(ids=out, valid_count=int(np.count_nonzero(out)))
+    return TokenBag(ids=out)
 
 
 def save_vocabulary(vocab: Vocabulary, f: TextIO) -> None:
@@ -267,28 +261,54 @@ def save_vocabulary(vocab: Vocabulary, f: TextIO) -> None:
         f.write(f"{token_class}\t{token}\t{tid}\n")
 
 
+def _vocabulary_fault(lines: list[str], v: int) -> str:
+    """Name the first record line that load_vocabulary rejects, else the count."""
+    seen: set[object] = set()  # ids and (class, token) keys so far
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split("\t")
+        try:
+            tid = int(fields[2]) if len(fields) == 3 else 0
+        except ValueError:
+            tid = 0
+        key = tuple(fields[:2])
+        if line and not (0 < tid <= v and is_token_class(fields[0]) and seen.isdisjoint((tid, key))):
+            return (
+                f"vocabulary line {lineno}: expected a known token class, a token and an id in 1..{v}, "
+                f"tab-separated, with no token or id repeated: {line!r}"
+            )
+        seen.update((tid, key))
+    return "vocabulary record count does not match header V"
+
+
 def load_vocabulary(f: TextIO) -> Vocabulary:
+    """Read a vocabulary written by save_vocabulary. Each record line is a
+    token class, a token and an id, tab-separated; the tokens are distinct
+    and the ids are exactly 1..V. A file that breaks this raises ValueError
+    naming the first line at fault."""
     header = f.readline().strip()
     m = re.fullmatch(r"V=(\d+) B=(\d+)(?: query_max=([1-9]\d*))?(?: product_max=([1-9]\d*))?", header)
     if m is None:
         raise ValueError(f"bad vocabulary header: {header!r}")
     v, bins, derived_q, derived_p = (None if g is None else int(g) for g in m.groups())
-    token_to_id: dict[tuple[str, str], int] = {}
-    class_counts: Counter = Counter()
-    for line in f:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        token_class, token, tid = line.split("\t")
-        token_to_id[(token_class, token)] = int(tid)
-        class_counts[token_class] += 1
-    if len(token_to_id) != v:
-        raise ValueError("vocabulary record count does not match header V")
+    lines = f.read().split("\n")  # lines[i] is line i + 2 of the file
+    # Parse all lines, then check them at once: per-line checks would cost
+    # more than the parse on every `semmatch query`.
+    try:
+        rows = [line.split("\t") for line in lines if line]
+        token_to_id = {(token_class, token): int(tid) for token_class, token, tid in rows}
+        ok = (
+            len(token_to_id) == len(rows) == v
+            and sorted(token_to_id.values()) == list(range(1, v + 1))
+            and all(map(is_token_class, {token_class for token_class, _ in token_to_id}))
+        )
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(_vocabulary_fault(lines, v))
     return Vocabulary(
         token_to_id=token_to_id,
         v=v,
         oov_bins=bins,
-        class_counts=dict(class_counts),
         derived_query_max=derived_q,
         derived_product_max=derived_p,
     )

