@@ -101,6 +101,9 @@ class SynthConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("eval_queries", "phrase_pairs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("typo_rate", "morph_rate", "model_number_rate"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -162,6 +165,16 @@ class SynthCorpus:
     ground_truth: list[tuple[str, str]]  # (query_id, product_id)
 
 
+def _match_sets(members: list[np.ndarray], chosen: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The products holding every chosen concept, and those holding some but
+    not all of them, both ascending. members[c] holds the id of each product
+    with concept c once, so a product is in len(chosen) of the arrays exactly
+    when it holds every chosen concept."""
+    ids, hits = np.unique(np.concatenate([members[c] for c in chosen]), return_counts=True)
+    full = hits == len(chosen)
+    return ids[full], ids[~full]
+
+
 def _generate(config: SynthConfig) -> SynthCorpus:
     rng = np.random.default_rng(config.seed)
     used: set[str] = set()
@@ -200,8 +213,9 @@ def _generate(config: SynthConfig) -> SynthCorpus:
         catalog.append((pid, " ".join(tokens)))
         for c in sig:
             by_concept[c].append(i)
+    members = [np.array(by_concept[c], dtype=np.int64) for c in range(n_concepts)]
 
-    def make_query(qid: str, seen_texts: set[str]) -> tuple[str, str, int, tuple[int, ...], list[str]]:
+    def make_query(qid: str, seen_texts: set[str]) -> tuple[str, str, int, np.ndarray, np.ndarray]:
         for _attempt in range(200):
             target = int(rng.integers(config.products))
             sig = signatures[target]
@@ -222,12 +236,7 @@ def _generate(config: SynthConfig) -> SynthCorpus:
             text = " ".join(tokens)
             if text and text not in seen_texts:
                 seen_texts.add(text)
-                relevant = [
-                    p
-                    for p in set().union(*(by_concept[c] for c in chosen))
-                    if set(chosen) <= set(signatures[p])
-                ]
-                return qid, text, target, chosen, [f"P{p:06d}" for p in sorted(relevant)]
+                return qid, text, target, *_match_sets(members, chosen)
         raise RuntimeError("could not generate a unique query text")
 
     queries: list[tuple[str, str]] = []
@@ -237,20 +246,17 @@ def _generate(config: SynthConfig) -> SynthCorpus:
     seen_texts: set[str] = set()
 
     def emit(qid: str, sink: list[LogRecord]) -> None:
-        qid, text, target, chosen, relevant = make_query(qid, seen_texts)
+        qid, text, target, relevant, partial = make_query(qid, seen_texts)
         queries.append((qid, text))
-        ground_truth.extend((qid, pid) for pid in relevant)
+        ground_truth.extend((qid, f"P{p:06d}") for p in relevant.tolist())
         count = int(rng.integers(1, 4))
         sink.append(
             LogRecord(text, f"P{target:06d}", catalog[target][1], "purchased", count)
         )
         # Impressed: partial-signature products (share a chosen concept but
-        # are not full semantic matches).
-        candidates = sorted(
-            p
-            for p in set().union(*(by_concept[c] for c in chosen))
-            if p != target and not (set(chosen) <= set(signatures[p]))
-        )
+        # are not full semantic matches). The target holds every chosen
+        # concept, so it is never among them.
+        candidates = partial.tolist()
         if candidates:
             n_imp = min(config.impressed_per_purchase, len(candidates))
             picks = rng.choice(len(candidates), size=n_imp, replace=False)

@@ -106,19 +106,24 @@ def char_trigrams(text: str) -> list[str]:
     return [wrapped[i : i + 3] for i in range(len(wrapped) - 2)]
 
 
-def tokenize(text: str, config: TokenizerConfig) -> list[tuple[str, str]]:
-    """The combined bag: (class, token) pairs in canonical class order."""
+def _class_tokens(text: str, config: TokenizerConfig) -> list[tuple[str, list[str]]]:
+    """Each enabled class with its tokens of the text, in canonical class order."""
     if config.lowercase:
         text = text.lower()
     words = text.split()
-    out: list[tuple[str, str]] = []
+    out: list[tuple[str, list[str]]] = []
     if config.use_unigrams:
-        out.extend((UNIGRAM, w) for w in words)
+        out.append((UNIGRAM, words))
     for n in sorted(config.ngram_orders):
-        out.extend((ngram_class(n), g) for g in word_ngrams(words, n))
+        out.append((ngram_class(n), word_ngrams(words, n)))
     if config.use_char_trigrams:
-        out.extend((CHAR_TRIGRAM, t) for t in char_trigrams(text))
+        out.append((CHAR_TRIGRAM, char_trigrams(text)))
     return out
+
+
+def tokenize(text: str, config: TokenizerConfig) -> list[tuple[str, str]]:
+    """The combined bag: (class, token) pairs in canonical class order."""
+    return [(token_class, token) for token_class, tokens in _class_tokens(text, config) for token in tokens]
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -198,20 +203,21 @@ def build_vocabulary(
 
     Ties break by lexicographic token order so rebuilds are reproducible.
     When max lengths are not set in the config, the 99th-percentile bag
-    lengths per side are recorded on the returned vocabulary.
+    lengths per side are recorded on the returned vocabulary. Each distinct
+    (side, text) record is tokenized once and counted as often as it occurs.
     """
+    records = Counter(corpus)
+    if not records:
+        raise ValueError("empty corpus: no records to build a vocabulary from")
     counts: dict[str, Counter] = {c: Counter() for c in config.enabled_classes()}
     lengths: dict[str, list[int]] = {"query": [], "product": []}
-    seen = 0
-    for side, text in corpus:
-        seen += 1
-        bag = tokenize(text, config)
-        for token_class, token in bag:
-            counts[token_class][token] += 1
+    for (side, text), times in records.items():
+        bag_len = 0
+        for token_class, tokens in _class_tokens(text, config):
+            counts[token_class].update(tokens * times)
+            bag_len += len(tokens)
         if side in lengths:
-            lengths[side].append(len(bag))
-    if seen == 0:
-        raise ValueError("empty corpus: no records to build a vocabulary from")
+            lengths[side].extend([bag_len] * times)
 
     token_to_id: dict[tuple[str, str], int] = {}
     next_id = 1

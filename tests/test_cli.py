@@ -278,6 +278,15 @@ class TestErrors:
         assert run(["gen-synthetic", "--config", bad, "--out", tmp_path / "d"]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["eval_queries", "phrase_pairs"])
+    def test_negative_synth_count_exits_one(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG + f"synth.{key} = -3\n")
+        status, err = run_quiet(["gen-synthetic", "--config", cfg, "--out", tmp_path / "d"])
+        assert status == 1
+        assert err == [f"error: {key} must be >= 0"]
+        assert not (tmp_path / "d").exists()
+
     def test_truncated_index_exits_one(self, workspace, capsys):
         tmp, cfg = workspace
         data, vocab, recs = tmp / "data", tmp / "vocab.txt", tmp / "recs.bin"

@@ -1,11 +1,18 @@
 """Log parsing and synthetic-corpus generator tests."""
 
-import pytest
+import hashlib
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synth_oracle import match_sets
 from semmatch.synth import (
     LogRecord,
     SynthConfig,
     _generate,
+    _match_sets,
     gen_synthetic,
     parse_log,
     read_catalog,
@@ -118,6 +125,49 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SynthConfig(typo_rate=1.5)
 
+    @pytest.mark.parametrize("name", ["eval_queries", "phrase_pairs"])
+    def test_negative_count_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            SynthConfig(**{**SMALL.__dict__, name: -3})
+
+    def test_zero_eval_queries_and_phrase_pairs_allowed(self):
+        c = _generate(SynthConfig(**{**SMALL.__dict__, "eval_queries": 0, "phrase_pairs": 0}))
+        assert c.eval_logs == []
+        assert len(c.queries) == SMALL.queries
+
+
+@st.composite
+def concept_draws(draw):
+    """Product signatures over `held` concepts, `unheld` more concepts that no
+    product holds, a chosen tuple of 1-4 of all of them and a target that
+    holds every chosen concept (-1 when no product does)."""
+    held = draw(st.integers(1, 8))
+    unheld = draw(st.integers(0, 3))
+    signatures = [
+        tuple(sorted(sig))
+        for sig in draw(st.lists(st.sets(st.integers(0, held - 1), min_size=1, max_size=held), max_size=40))
+    ]
+    chosen = tuple(sorted(draw(st.sets(st.integers(0, held + unheld - 1), min_size=1, max_size=4))))
+    full = [p for p, sig in enumerate(signatures) if set(chosen) <= set(sig)]
+    target = draw(st.sampled_from(full)) if full else -1
+    return held + unheld, signatures, chosen, target
+
+
+class TestMatchSets:
+    @settings(max_examples=300, deadline=None)
+    @given(concept_draws())
+    def test_equals_set_comprehension_oracle(self, draws):
+        n_concepts, signatures, chosen, target = draws
+        by_concept = {c: [p for p, sig in enumerate(signatures) if c in sig] for c in range(n_concepts)}
+        members = [np.array(by_concept[c], dtype=np.int64) for c in range(n_concepts)]
+        full, partial = _match_sets(members, chosen)
+        relevant, candidates = match_sets(signatures, by_concept, chosen, target)
+        assert full.tolist() == relevant
+        assert partial.tolist() == candidates
+        assert full.dtype == partial.dtype == np.int64
+        if len(chosen) == 1:
+            assert partial.size == 0
+
 
 class TestFiles:
     def test_gen_synthetic_writes_all_files(self, tmp_path):
@@ -136,3 +186,52 @@ class TestFiles:
         p2 = gen_synthetic(SMALL, str(tmp_path / "b"))
         for name in p1:
             assert open(p1[name], "rb").read() == open(p2[name], "rb").read()
+
+
+# sha256 of each gen_synthetic file, pinned from the generator that built the
+# relevant and impressed sets by set comprehensions. Together the configs
+# cover phrase pairs, typo and morph rates, model numbers, and a query that
+# takes its target's whole signature (query_concepts >= concepts_per_product).
+PINNED = [
+    (
+        SynthConfig(concepts=20, synonyms_per_concept=2, products=150, queries=60, eval_queries=15,
+                    typo_rate=0.1, morph_rate=0.2, phrase_pairs=3, impressed_per_purchase=3, seed=7),
+        {
+            "catalog": "cfa4c976d6ac5d5505802acb0226d819b321adfefe3537f5cbd80de09669d839",
+            "eval_logs": "2244fa308408995cdc267e8e6dd8765dd81fe7d27a8bc513773923ec1cb2a375",
+            "ground_truth": "f896d833711192e59f94cde40e4ad3e73b722a9810dce4b705b4d7a283482f54",
+            "logs": "1ee660a07ba7eeaf21bf00f95893bd2e8b79937e024ea525ed0e64f8ab809989",
+            "queries": "2f02c1fa27bf8bdec2f6e9f9939a37c5321203ae88b2dab6cd969e49dd19296d",
+        },
+    ),
+    (
+        SynthConfig(concepts=15, synonyms_per_concept=3, products=120, queries=50, eval_queries=10,
+                    concepts_per_product=2, query_concepts=3, model_number_rate=0.6, seed=3),
+        {
+            "catalog": "5c051a164a85c9aae2f665c3c13c0a1f7f5815ec33ae0a375b51bef837f93454",
+            "eval_logs": "b18934f39c5f0d510fd048a12bb3ea75af5e8a63f78da7b55ef627819efc74d7",
+            "ground_truth": "a56b928dce0815e961e860e132f13e87e4dbc3264627bf6b544c6eff0eaabf0a",
+            "logs": "acaf25f24d8311b4b84509fd50dbc235f9873c4130a0d54d4e075053add53f85",
+            "queries": "46a9fa5765c5766ef6d5aa463cdee9f9b7e728bc8f9549440cf376fad93b8ce6",
+        },
+    ),
+    (
+        SynthConfig(concepts=25, synonyms_per_concept=3, products=200, queries=80, eval_queries=20,
+                    typo_rate=0.03, morph_rate=0.35, impressed_per_purchase=4, concepts_per_product=5,
+                    query_concepts=3, phrase_pairs=4, model_number_rate=0.7, seed=23),
+        {
+            "catalog": "85949aeabf7df2bb7944b0c0bc56afa4a7ecbad4f4deaebbfd83e5df56c58e82",
+            "eval_logs": "bc9f02dce13f4a2647c237f89c4dda54c396c1a0b7ca304a750a4fbe9197a1c4",
+            "ground_truth": "c10e7118233d852a3c6aacc65ad7b58ccab7083c7de07765c9e008dbc120540d",
+            "logs": "b30a277d621af9080987aa2484e2cbf1252943db7146aed8bbe17b8345e4928d",
+            "queries": "c04f1a3dd785ee97ca8939a1d52800f2775816098b5fd603f6e2b463e7b84060",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("config, digests", PINNED, ids=["typo-morph-phrases", "model-numbers", "rich"])
+def test_files_match_pinned_digests(tmp_path, config, digests):
+    paths = gen_synthetic(config, str(tmp_path))
+    actual = {name: hashlib.sha256(open(path, "rb").read()).hexdigest() for name, path in paths.items()}
+    assert actual == digests

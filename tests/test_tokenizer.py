@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vocabulary_oracle
 from semmatch.tokenizer import (
     CHAR_TRIGRAM,
     UNIGRAM,
@@ -223,6 +224,10 @@ class TestVocabulary:
         # Nearest-rank 99th percentile of lengths 1..100 is 99.
         assert vocab.derived_query_max == 99
         assert vocab.derived_product_max is None
+        # A record counts as often as it occurs: 199 one-word queries put
+        # the 99th percentile below the single four-word one.
+        repeated = [("query", "a b c d")] + [("query", "a")] * 199
+        assert build_vocabulary(repeated, cfg).derived_query_max == 1
 
     def test_save_load_roundtrip(self):
         cfg = TokenizerConfig(
@@ -269,6 +274,43 @@ class TestVocabulary:
         assert vocab.max_tokens("product", sized) == 1
         with pytest.raises(ValueError, match="max token length"):
             Vocabulary({}, 0, 0).max_tokens("query", cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_record_oracle(self, data):
+        """Counting each distinct (side, text) once gives the vocabulary that
+        counting every record does, also from a one-shot generator."""
+        orders = data.draw(st.sets(st.sampled_from([2, 3])))
+        unigrams = data.draw(st.booleans())
+        trigrams = data.draw(st.booleans()) or not (unigrams or orders)
+        classes = [UNIGRAM] * unigrams + [ngram_class(n) for n in orders] + [CHAR_TRIGRAM] * trigrams
+        max_len = st.none() | st.integers(1, 12)
+        cfg = TokenizerConfig(
+            lowercase=data.draw(st.booleans()),
+            use_unigrams=unigrams,
+            ngram_orders=tuple(orders),
+            use_char_trigrams=trigrams,
+            budget_per_class={c: data.draw(st.integers(1, 30)) for c in classes},
+            oov_bins=data.draw(st.integers(0, 5)),
+            query_max_tokens=data.draw(max_len),
+            product_max_tokens=data.draw(max_len),
+        )
+        texts = st.lists(st.sampled_from(["red", "Red", "shoe", "sale", "x", "", " "]), max_size=6).map(" ".join)
+        # Rows repeated up to 60 times, so a side's 99th-percentile length
+        # is not always its maximum.
+        distinct = st.tuples(st.sampled_from(["query", "product", "title"]), texts, st.integers(1, 60))
+        rows = [(side, text) for side, text, times in data.draw(st.lists(distinct, min_size=1)) for _ in range(times)]
+        rows = data.draw(st.permutations(rows))
+        corpus = (row for row in rows) if data.draw(st.booleans()) else rows
+        got = build_vocabulary(corpus, cfg)
+        want = vocabulary_oracle.build_vocabulary(rows, cfg)
+        assert got.token_to_id == want.token_to_id
+        assert got.v == want.v
+        assert (got.derived_query_max, got.derived_product_max) == (want.derived_query_max, want.derived_product_max)
+        got_text, want_text = io.StringIO(), io.StringIO()
+        save_vocabulary(got, got_text)
+        save_vocabulary(want, want_text)
+        assert got_text.getvalue() == want_text.getvalue()
 
     def test_load_rejects_bad_header(self):
         with pytest.raises(ValueError):
