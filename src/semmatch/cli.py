@@ -164,17 +164,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_check(args: argparse.Namespace) -> int:
-    from .model import ModelConfig, NormState, EmbeddingModel, forward_batch
+    from .model import ModelConfig, forward_batch
 
     if args.pairs < 1:
         raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     v = 200
     cfg = ModelConfig(embedding_dim=args.dim, shared_embeddings=True, normalization="none")
-    matrix = training.xavier_init(v + 1, args.dim, rng)
-    model = EmbeddingModel(
-        cfg, matrix, matrix, NormState.fresh(args.dim), NormState.fresh(args.dim), v, 0
-    )
+    model = training.init_model(v, 0, cfg, rng)
     q_ids = rng.integers(1, v + 1, size=(args.pairs, 8))
     p_ids = rng.integers(1, v + 1, size=(args.pairs, 12))
     direct, _ = forward_batch(q_ids, p_ids, model, "infer")

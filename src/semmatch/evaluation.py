@@ -93,7 +93,7 @@ def run_matching_eval(
     model: EmbeddingModel,
     vocab: Vocabulary,
     config: TokenizerConfig,
-    k: int = 100,
+    k: int,
 ) -> MetricReport:
     """Score the whole corpus per query; purchased items are the relevant set.
 

@@ -12,9 +12,8 @@ from .model import (
     EmbeddingModel,
     _bytes_left,
     _read_array,
+    embed_batch,
     model_fingerprint,
-    normalize_batch,
-    pool_batch,
 )
 from .tokenizer import TokenizerConfig, Vocabulary, encode
 
@@ -56,18 +55,14 @@ def _embed_texts(
     """Inference-phase unit embeddings; empty bags embed as zero rows."""
     if not texts:
         return np.zeros((0, model.n), dtype=np.float64)
-    arm = "query" if side == "query" else "product"
     ids = np.stack([encode(t, side, vocab, config).ids for t in texts])
-    matrix = model.matrix_for(arm)
-    out = np.empty((len(texts), model.n), dtype=np.float64)
-    for start in range(0, len(texts), _EMBED_BLOCK):
-        block = slice(start, start + _EMBED_BLOCK)
-        pooled, counts = pool_batch(ids[block], matrix)
-        normed, _ = normalize_batch(pooled, arm, model, "infer")
-        normed = np.where((counts == 0)[:, None], 0.0, normed)
-        norms = np.linalg.norm(normed, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        out[block] = normed / safe[:, None]
+    out = embed_batch(ids, "query" if side == "query" else "product", model, _EMBED_BLOCK)
+    # Scaled to unit rows in place, a block at a time: np.linalg.norm over
+    # all of `out` would allocate a temporary of its size.
+    for start in range(0, len(out), _EMBED_BLOCK):
+        rows = out[start : start + _EMBED_BLOCK]
+        norms = np.linalg.norm(rows, axis=1)
+        rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return out
 
 
@@ -129,7 +124,7 @@ def top_k(
     vocab: Vocabulary,
     config: TokenizerConfig,
     k: int,
-    threshold: float = 0.55,
+    threshold: float,
     query_id: str = "",
 ) -> MatchResult:
     """Exact scan: up to k products with score >= threshold."""

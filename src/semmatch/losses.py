@@ -39,44 +39,28 @@ class LossSpec:
                 raise ValueError("need -1 <= eps_minus < eps_plus <= 1")
 
 
-def _hinge_pos_grad(scores: np.ndarray, eps: float, m: int) -> np.ndarray:
-    viol = np.maximum(0.0, eps - scores)
-    if m == 1:
-        return np.where(viol > 0, -1.0, 0.0)
-    return -2.0 * viol
-
-
-def _hinge_neg_grad(scores: np.ndarray, eps: float, m: int) -> np.ndarray:
-    viol = np.maximum(0.0, scores - eps)
-    if m == 1:
-        return np.where(viol > 0, 1.0, 0.0)
-    return 2.0 * viol
+def _hinge(
+    scores: np.ndarray, labels: np.ndarray, spec: LossSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each example's hinge violation and the sign of its loss slope where
+    violated: purchased pairs below eps_plus (-1), others above their
+    threshold (+1), which is eps_zero for impressed pairs in hinge3 and
+    eps_minus otherwise."""
+    pos = labels == int(Label3.PURCHASED)
+    eps_imp = spec.eps_zero if spec.kind == "hinge3" else spec.eps_minus
+    neg_eps = np.where(labels == int(Label3.IMPRESSED), eps_imp, spec.eps_minus)
+    viol = np.where(pos, np.maximum(0.0, spec.eps_plus - scores), np.maximum(0.0, scores - neg_eps))
+    return viol, np.where(pos, -1.0, 1.0)
 
 
 def loss_batch(scores: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Vectorized per-example loss. ``labels`` holds Label3 integer codes."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = labels == int(Label3.PURCHASED)
-    if spec.kind == "hinge3":
-        imp = labels == int(Label3.IMPRESSED)
-        out = np.where(
-            pos,
-            np.maximum(0.0, spec.eps_plus - scores) ** spec.m,
-            np.where(
-                imp,
-                np.maximum(0.0, scores - spec.eps_zero) ** spec.m,
-                np.maximum(0.0, scores - spec.eps_minus) ** spec.m,
-            ),
-        )
-        return out
-    if spec.kind == "hinge2":
-        return np.where(
-            pos,
-            np.maximum(0.0, spec.eps_plus - scores) ** spec.m,
-            np.maximum(0.0, scores - spec.eps_minus) ** spec.m,
-        )
-    y = pos.astype(np.float64)
+    if spec.kind in ("hinge2", "hinge3"):
+        viol, _ = _hinge(scores, labels, spec)
+        return viol**spec.m
+    y = (labels == int(Label3.PURCHASED)).astype(np.float64)
     if spec.kind == "mse":
         return (scores - y) ** 2
     if spec.kind == "mae":
@@ -88,27 +72,15 @@ def loss_batch(scores: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.nda
 def loss_grad_batch(
     scores: np.ndarray, labels: np.ndarray, spec: LossSpec
 ) -> np.ndarray:
+    """d(loss)/d(score) per example; 0 on a hinge's flat side and at its kink."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = labels == int(Label3.PURCHASED)
-    if spec.kind == "hinge3":
-        imp = labels == int(Label3.IMPRESSED)
-        return np.where(
-            pos,
-            _hinge_pos_grad(scores, spec.eps_plus, spec.m),
-            np.where(
-                imp,
-                _hinge_neg_grad(scores, spec.eps_zero, spec.m),
-                _hinge_neg_grad(scores, spec.eps_minus, spec.m),
-            ),
-        )
-    if spec.kind == "hinge2":
-        return np.where(
-            pos,
-            _hinge_pos_grad(scores, spec.eps_plus, spec.m),
-            _hinge_neg_grad(scores, spec.eps_minus, spec.m),
-        )
-    y = pos.astype(np.float64)
+    if spec.kind in ("hinge2", "hinge3"):
+        viol, side = _hinge(scores, labels, spec)
+        if spec.m == 1:
+            return np.where(viol > 0, side, 0.0)
+        return side * 2.0 * viol
+    y = (labels == int(Label3.PURCHASED)).astype(np.float64)
     if spec.kind == "mse":
         return 2.0 * (scores - y)
     if spec.kind == "mae":

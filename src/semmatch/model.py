@@ -143,7 +143,6 @@ def pool_batch(ids: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndar
 class _NormCache:
     mode: str
     phase: str
-    x: np.ndarray
     xhat: np.ndarray
     std: np.ndarray
     gamma: np.ndarray
@@ -159,7 +158,7 @@ def normalize_batch(
     state = model.norm_for(arm)
     eps = model.config.bn_epsilon
     if mode == NORM_NONE:
-        cache = _NormCache(mode, phase, x, x, np.ones(1), np.ones(1))
+        cache = _NormCache(mode, phase, x, np.ones(1), np.ones(1))
         return x, cache
     if mode == NORM_LAYER:
         mu = x.mean(axis=1, keepdims=True)
@@ -181,7 +180,21 @@ def normalize_batch(
             std = np.sqrt(state.running_var + eps)
             xhat = (x - state.running_mean) / std
     out = state.gamma * xhat + state.beta
-    return out, _NormCache(mode, phase, x, xhat, std, state.gamma)
+    return out, _NormCache(mode, phase, xhat, std, state.gamma)
+
+
+def embed_batch(ids: np.ndarray, arm: str, model: EmbeddingModel, block: int) -> np.ndarray:
+    """Inference-phase embeddings of one arm's bags, pooled and normalized
+    `block` bags at a time, so the gather never exceeds (block, L, N)
+    floats. An empty bag embeds as a zero row."""
+    matrix = model.matrix_for(arm)
+    out = np.empty((len(ids), model.n), dtype=np.float64)
+    for start in range(0, len(ids), block):
+        pooled, counts = pool_batch(ids[start : start + block], matrix)
+        normed, _ = normalize_batch(pooled, arm, model, "infer")
+        normed[counts == 0] = 0.0
+        out[start : start + block] = normed
+    return out
 
 
 def _norm_backward(dout: np.ndarray, cache: _NormCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

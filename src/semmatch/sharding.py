@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NORM_LAYER, EmbeddingModel, normalize_batch, pool_batch
+from .model import NORM_LAYER, EmbeddingModel, embed_batch
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,6 @@ def shard_partials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([(a * b).sum(axis=1), (a * a).sum(axis=1), (b * b).sum(axis=1)], axis=1)
 
 
-def _embed(ids: np.ndarray, arm: str, model: EmbeddingModel, block: int) -> np.ndarray:
-    """Pooled and inference-normalized rows of one arm. Pooling runs in
-    blocks of `block` bags, so the gather never exceeds (block, L, k) floats;
-    pooling and inference normalization act per dimension, so any column
-    block of the result is what pooling that block of columns alone gives."""
-    matrix = model.matrix_for(arm)
-    pooled = np.empty((len(ids), model.n), dtype=np.float64)
-    for start in range(0, len(ids), block):
-        pooled[start : start + block], _ = pool_batch(ids[start : start + block], matrix)
-    out, _ = normalize_batch(pooled, arm, model, "infer")
-    return out
-
-
 def simulate(
     plan: ShardPlan,
     q_ids: np.ndarray,
@@ -77,9 +64,15 @@ def simulate(
     Each pair costs one input broadcast per shard and, in the decomposed
     mode, exactly 3 scalars returned per shard; the coordinator sums the
     shards' (B, 3) partials in shard order. The naive mode instead ships
-    each shard's full r-length embedding slices (2k scalars total). Pairs
-    with an empty bag or a zero-norm side score 0. Layer normalization
-    couples dimensions across shard boundaries and is rejected.
+    each shard's full r-length embedding slices (2k scalars total). An empty
+    bag embeds as a zero row, so pairs with an empty bag or a zero-norm side
+    score 0. Layer normalization couples dimensions across shard boundaries
+    and is rejected.
+
+    Both arms are embedded over all k columns, ceil(B/n) bags at a time, so
+    the gather stays one shard's (B, L, k/n) share. Pooling and inference
+    normalization act per dimension, so any column block of the result is
+    what pooling and normalizing that block of columns alone gives.
     """
     if plan.k != model.n:
         raise ValueError("plan dimension does not match model embedding dimension")
@@ -89,11 +82,9 @@ def simulate(
     batch = len(q_ids)
     if len(p_ids) != batch:
         raise ValueError(f"{batch} query bags but {len(p_ids)} product bags")
-    # Each shard used to gather (B, L, k/n) floats; pooling ceil(B/n) bags
-    # of all k columns at a time keeps the gather that size.
     block = max(1, -(-batch // plan.n))
-    a = _embed(q_ids, "query", model, block)
-    b = _embed(p_ids, "product", model, block)
+    a = embed_batch(q_ids, "query", model, block)
+    b = embed_batch(p_ids, "product", model, block)
     if naive:
         totals = shard_partials(a, b)
         scalars = 2 * plan.k * batch
@@ -104,8 +95,6 @@ def simulate(
         scalars = 3 * plan.n * batch
     dot, sq_a, sq_b = totals.T
     ok = (sq_a > 0.0) & (sq_b > 0.0)
-    ok &= np.count_nonzero(q_ids, axis=1) > 0
-    ok &= np.count_nonzero(p_ids, axis=1) > 0
     scores = np.zeros(batch, dtype=np.float64)
     np.divide(dot, np.sqrt(sq_a) * np.sqrt(sq_b), out=scores, where=ok)
     ledger = CommLedger(pairs=batch, input_broadcasts=plan.n * batch, scalars_returned=scalars)

@@ -304,20 +304,16 @@ def adam_step(
             return
         if grad.values.shape[1] != param.shape[1]:
             raise ValueError("gradient width does not match parameter")
-        r = grad.rows
-        state.m[r] = b1 * state.m[r] + (1 - b1) * grad.values
-        state.v[r] = b2 * state.v[r] + (1 - b2) * grad.values**2
-        mhat = state.m[r] / corr1
-        vhat = state.v[r] / corr2
-        param[r] -= config.alpha * mhat / (np.sqrt(vhat) + config.epsilon)
+        r, g = grad.rows, grad.values
     else:
         if grad.shape != param.shape:
             raise ValueError("gradient shape does not match parameter")
-        state.m[:] = b1 * state.m + (1 - b1) * grad
-        state.v[:] = b2 * state.v + (1 - b2) * grad**2
-        mhat = state.m / corr1
-        vhat = state.v / corr2
-        param -= config.alpha * mhat / (np.sqrt(vhat) + config.epsilon)
+        r, g = slice(None), grad
+    m = b1 * state.m[r] + (1 - b1) * g
+    v = b2 * state.v[r] + (1 - b2) * g**2
+    state.m[r] = m
+    state.v[r] = v
+    param[r] -= config.alpha * (m / corr1) / (np.sqrt(v / corr2) + config.epsilon)
 
 
 @dataclass

@@ -77,9 +77,21 @@ class TestBuildIndex:
         assert blocked.tobytes() == whole.tobytes()
 
     def test_empty_text_embeds_zero(self, setup):
-        vocab, model, _ = setup
-        index = build_index([("PX", "")], model, vocab, TC)
-        np.testing.assert_array_equal(index.matrix[0], 0.0)
+        """Under every normalization, with statistics and a shift that would
+        map a zero pooled row elsewhere, an empty text embeds as +0.0s."""
+        vocab, _, _ = setup
+        zero = np.zeros(16).tobytes()
+        for norm in ("none", "batch", "layer"):
+            cfg = ModelConfig(embedding_dim=16, shared_embeddings=False, normalization=norm)
+            rng = np.random.default_rng(2)
+            model = init_model(vocab.v, vocab.oov_bins, cfg, rng)
+            for state in (model.norm_query, model.norm_product):
+                state.running_mean[:] = rng.normal(size=16)
+                state.beta[:] = rng.normal(size=16)
+            index = build_index([("PX", ""), ("PY", "red shoe")], model, vocab, TC)
+            assert index.matrix[0].tobytes() == zero, norm
+            assert np.linalg.norm(index.matrix[1]) == pytest.approx(1.0), norm
+            assert embed_query("", model, vocab, TC).tobytes() == zero, norm
 
 
 class TestRanking:
@@ -130,7 +142,7 @@ class TestRanking:
     def test_k_validation(self, setup):
         vocab, model, index = setup
         with pytest.raises(ValueError):
-            top_k("red", index, model, vocab, TC, k=0)
+            top_k("red", index, model, vocab, TC, k=0, threshold=0.55)
 
     def test_exact_match_ranks_first(self, setup):
         vocab, model, index = setup

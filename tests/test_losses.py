@@ -10,6 +10,8 @@ from semmatch.losses import Label3, LossSpec, loss_batch, loss_grad_batch
 
 scores = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 labels = st.sampled_from([Label3.PURCHASED, Label3.IMPRESSED, Label3.RANDOM])
+# The hinge kinks at the default thresholds and the ends of the BCE clamp.
+kink_scores = st.one_of(st.sampled_from([0.9, 0.55, 0.2, 1.0, -1.0]), scores)
 
 
 class TestHinge3:
@@ -105,7 +107,7 @@ class TestBatchConsistency:
         np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-12)
 
     @given(
-        st.lists(st.tuples(scores, labels), min_size=1, max_size=20),
+        st.lists(st.tuples(kink_scores, labels), min_size=1, max_size=20),
         st.sampled_from(["mse", "mae", "bce", "hinge2", "hinge3"]),
         st.sampled_from([1, 2]),
     )
@@ -141,6 +143,14 @@ class TestGradientsFiniteDifference:
         assert loss_grad(0.9, Label3.PURCHASED, spec) == 0.0
         assert loss_grad(0.55, Label3.IMPRESSED, spec) == 0.0
         assert loss_grad(0.2, Label3.RANDOM, spec) == 0.0
+
+    @pytest.mark.parametrize("kind", ["hinge2", "hinge3"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_batch_subgradient_zero_at_kinks(self, kind, m):
+        spec = LossSpec(kind=kind, m=m)
+        eps_imp = spec.eps_zero if kind == "hinge3" else spec.eps_minus
+        grad = loss_grad_batch(np.array([0.9, eps_imp, 0.2]), np.array([0, 1, 2]), spec)
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_hinge_grad_signs(self):
         spec = LossSpec(kind="hinge3", m=2)

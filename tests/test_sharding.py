@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sharding_oracle
+from semmatch import model as model_mod
 from semmatch import sharding
 from semmatch.model import ModelConfig, forward_batch, pool_batch
 from semmatch.sharding import CommLedger, ShardPlan, shard_partials, simulate
@@ -210,7 +211,7 @@ class TestBatchPartials:
             blocks.append(len(ids))
             return pool_batch(ids, matrix)
 
-        monkeypatch.setattr(sharding, "pool_batch", spy)
+        monkeypatch.setattr(model_mod, "pool_batch", spy)
         simulate(ShardPlan(n=4, k=16), q, p, model)
         assert all(size <= -(-pairs // 4) for size in blocks)
         assert sum(blocks) == 2 * pairs

@@ -1,10 +1,13 @@
-"""Epoch sampling and the embedding backward pass against their first versions.
+"""Epoch sampling, the embedding backward pass and ADAM against their first
+versions.
 
 The oracles are the straightforward paths the library replaced: a sampler
 that regroups the records by bag bytes every epoch and draws every pick with
-its own `integers` call, and scatter-adds with `np.add.at`. The library
-groups once per train call, draws in blocks and scatters with `np.bincount`.
-Both must agree to the byte, and so must the checkpoints they train.
+its own `integers` call, scatter-adds with `np.add.at`, and an ADAM step
+with one formula for sparse rows and another for dense arrays. The library
+groups once per train call, draws in blocks, scatters with `np.bincount`
+and updates sparse and dense parameters with one formula. Both must agree
+to the byte, and so must the checkpoints they train.
 """
 
 import numpy as np
@@ -24,8 +27,10 @@ from semmatch.model import (
     forward_batch,
 )
 from semmatch.training import (
+    AdamState,
     EpochSample,
     TrainConfig,
+    adam_step,
     group_records,
     init_model,
     record_dtype,
@@ -138,6 +143,34 @@ def oracle_merge_sparse(a, b):
     values = np.zeros((rows.size, a.values.shape[1]), dtype=np.float64)
     np.add.at(values, inverse, np.concatenate([a.values, b.values], axis=0))
     return SparseRowGrad(rows=rows, values=values)
+
+
+def oracle_adam_step(param, grad, state, config):
+    if state.m.shape != param.shape:
+        raise ValueError("optimizer state shape does not match parameter")
+    state.t += 1
+    b1, b2 = config.beta1, config.beta2
+    corr1 = 1.0 - b1**state.t
+    corr2 = 1.0 - b2**state.t
+    if isinstance(grad, SparseRowGrad):
+        if grad.rows.size == 0:
+            return
+        if grad.values.shape[1] != param.shape[1]:
+            raise ValueError("gradient width does not match parameter")
+        r = grad.rows
+        state.m[r] = b1 * state.m[r] + (1 - b1) * grad.values
+        state.v[r] = b2 * state.v[r] + (1 - b2) * grad.values**2
+        mhat = state.m[r] / corr1
+        vhat = state.v[r] / corr2
+        param[r] -= config.alpha * mhat / (np.sqrt(vhat) + config.epsilon)
+    else:
+        if grad.shape != param.shape:
+            raise ValueError("gradient shape does not match parameter")
+        state.m[:] = b1 * state.m + (1 - b1) * grad
+        state.v[:] = b2 * state.v + (1 - b2) * grad**2
+        mhat = state.m / corr1
+        vhat = state.v / corr2
+        param -= config.alpha * mhat / (np.sqrt(vhat) + config.epsilon)
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -353,6 +386,46 @@ class TestBackwardOracle:
                 same_array(grad, want[name])
 
 
+# -- ADAM ------------------------------------------------------------------------
+
+
+class TestAdamOracle:
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 7),
+        n=st.integers(1, 4),
+        steps=st.lists(st.sampled_from(["sparse", "no-rows", "dense-1d", "dense-2d"]), min_size=1, max_size=12),
+        alpha=st.sampled_from([0.001, 0.05]),
+    )
+    @example(seed=0, rows=3, n=2, steps=["no-rows", "sparse", "no-rows", "dense-2d", "sparse"], alpha=0.001)
+    def test_step_sequences_equal_oracle(self, seed, rows, n, steps, alpha):
+        """A matrix takes sparse (some with no rows) and dense steps, and a
+        vector, like gamma and beta, dense ones; after every step the
+        parameter, both moments and the step count equal the oracle's."""
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(batch_size=4, alpha=alpha)
+        start = {"matrix": rng.normal(size=(rows, n)), "vector": rng.normal(size=n)}
+        got = {k: (p.copy(), AdamState.for_param(p)) for k, p in start.items()}
+        want = {k: (p.copy(), AdamState.for_param(p)) for k, p in start.items()}
+        for kind in steps:
+            size = 0 if kind == "no-rows" else int(rng.integers(1, rows + 1))
+            shape = {"dense-1d": (n,), "dense-2d": (rows, n)}.get(kind, (size, n))
+            values = rng.normal(size=shape)
+            values[rng.random(shape) < 0.2] = 0.0
+            key, grad = "vector" if kind == "dense-1d" else "matrix", values
+            if kind in ("sparse", "no-rows"):
+                picked = np.sort(rng.choice(rows, size=size, replace=False)).astype(np.int64)
+                grad = SparseRowGrad(rows=picked, values=values)
+            adam_step(got[key][0], grad, got[key][1], cfg)
+            oracle_adam_step(want[key][0], grad, want[key][1], cfg)
+            for (gp, gs), (wp, ws) in zip(got.values(), want.values()):
+                same_array(gp, wp)
+                same_array(gs.m, ws.m)
+                same_array(gs.v, ws.v)
+                assert gs.t == ws.t
+
+
 # -- end to end ------------------------------------------------------------------
 
 
@@ -372,4 +445,5 @@ def test_trained_checkpoint_equals_oracle_path(monkeypatch, shared, norm):
     monkeypatch.setattr(training, "sample_epoch", oracle_sample_epoch)
     monkeypatch.setattr(model_mod, "_pool_backward", oracle_pool_backward)
     monkeypatch.setattr(model_mod, "_merge_sparse", oracle_merge_sparse)
+    monkeypatch.setattr(training, "adam_step", oracle_adam_step)
     assert trained() == got
