@@ -10,7 +10,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .index import ProductIndex, _embed_texts, embed_query
+from .index import ProductIndex, _embed_texts
 from .model import EmbeddingModel
 from .synth import LogRecord
 from .tokenizer import TokenizerConfig, Vocabulary
@@ -105,13 +105,12 @@ def run_matching_eval(
     if k < 1:
         raise ValueError("k must be >= 1")
     row_of = {pid: i for i, pid in enumerate(index.ids)}
-    report = MetricReport()
-    for q in queries:
+    live = [q for q in queries if q.purchased]
+    report = MetricReport(skipped=len(queries) - len(live))
+    qvecs = _embed_texts([q.text for q in live], "query", model, vocab, config)
+    for q, qvec in zip(live, qvecs):
         n = len(q.purchased)
-        if not n:
-            report.skipped += 1
-            continue
-        scores = index.matrix @ embed_query(q.text, model, vocab, config)
+        scores = index.matrix @ qvec
         rows = np.array([row_of[pid] for pid in q.purchased if pid in row_of], dtype=np.intp)
         ranks = sorted(positions(scores, rows, index._id_rank).tolist())
         hits = bisect.bisect_right(ranks, k)
@@ -138,18 +137,19 @@ def run_ranking_eval(
     config: TokenizerConfig,
 ) -> MetricReport:
     """Rank each query's purchased+impressed candidates by model score, ties
-    by id; purchase counts are the gains."""
-    report = MetricReport()
-    for q in queries:
-        if not q.purchased or not q.impressed:
-            report.skipped += 1
-            continue
-        candidates = sorted(set(q.purchased) | q.impressed)
-        qvec = embed_query(q.text, model, vocab, config)
-        cand_matrix = _embed_texts(
-            [product_texts[pid] for pid in candidates], "product", model, vocab, config
-        )
-        scores = cand_matrix @ qvec
+    by id; purchase counts are the gains. The queries and the distinct
+    candidates of the call are embedded once each."""
+    live = [q for q in queries if q.purchased and q.impressed]
+    report = MetricReport(skipped=len(queries) - len(live))
+    candidate_lists = [sorted(set(q.purchased) | q.impressed) for q in live]
+    row_of: dict[str, int] = {}
+    for candidates in candidate_lists:
+        for pid in candidates:
+            row_of.setdefault(pid, len(row_of))
+    qvecs = _embed_texts([q.text for q in live], "query", model, vocab, config)
+    products = _embed_texts([product_texts[pid] for pid in row_of], "product", model, vocab, config)
+    for q, candidates, qvec in zip(live, candidate_lists, qvecs):
+        scores = products[[row_of[pid] for pid in candidates]] @ qvec
         rows = np.array([i for i, pid in enumerate(candidates) if pid in q.purchased], dtype=np.intp)
         ranked = sorted(zip(positions(scores, rows, np.arange(len(candidates))).tolist(), rows.tolist()))
         ranks = [rank for rank, _ in ranked]

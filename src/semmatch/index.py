@@ -15,7 +15,7 @@ from .model import (
     embed_batch,
     model_fingerprint,
 )
-from .tokenizer import TokenizerConfig, Vocabulary, encode
+from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 
 _IDX_MAGIC = b"SMINDEX2"
 _IDX_VERSION = 2
@@ -44,8 +44,6 @@ class ProductIndex:
 
 @dataclass
 class MatchResult:
-    query_id: str
-    threshold: float
     items: list[tuple[str, float]]  # (product id, score), score desc then id asc
 
 
@@ -55,7 +53,7 @@ def _embed_texts(
     """Inference-phase unit embeddings; empty bags embed as zero rows."""
     if not texts:
         return np.zeros((0, model.n), dtype=np.float64)
-    ids = np.stack([encode(t, side, vocab, config).ids for t in texts])
+    ids = encode_batch(texts, side, vocab, config)
     out = embed_batch(ids, "query" if side == "query" else "product", model, _EMBED_BLOCK)
     # Scaled to unit rows in place, a block at a time: np.linalg.norm over
     # all of `out` would allocate a temporary of its size.
@@ -125,13 +123,12 @@ def top_k(
     config: TokenizerConfig,
     k: int,
     threshold: float,
-    query_id: str = "",
 ) -> MatchResult:
     """Exact scan: up to k products with score >= threshold."""
     qvec = embed_query(query_text, model, vocab, config)
     scores, head = rank_all(qvec, index, k, threshold)
     items = [(index.ids[i], float(scores[i])) for i in head]
-    return MatchResult(query_id=query_id, threshold=threshold, items=items)
+    return MatchResult(items=items)
 
 
 def save_index(index: ProductIndex, f: BinaryIO) -> None:

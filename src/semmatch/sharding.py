@@ -57,17 +57,14 @@ def simulate(
     q_ids: np.ndarray,
     p_ids: np.ndarray,
     model: EmbeddingModel,
-    naive: bool = False,
 ) -> tuple[np.ndarray, CommLedger]:
     """Score pairs through independent shards, counting messages.
 
-    Each pair costs one input broadcast per shard and, in the decomposed
-    mode, exactly 3 scalars returned per shard; the coordinator sums the
-    shards' (B, 3) partials in shard order. The naive mode instead ships
-    each shard's full r-length embedding slices (2k scalars total). An empty
-    bag embeds as a zero row, so pairs with an empty bag or a zero-norm side
-    score 0. Layer normalization couples dimensions across shard boundaries
-    and is rejected.
+    Each pair costs one input broadcast per shard and exactly 3 scalars
+    returned per shard; the coordinator sums the shards' (B, 3) partials in
+    shard order. An empty bag embeds as a zero row, so pairs with an empty
+    bag or a zero-norm side score 0. Layer normalization couples dimensions
+    across shard boundaries and is rejected.
 
     Both arms are embedded over all k columns, ceil(B/n) bags at a time, so
     the gather stays one shard's (B, L, k/n) share. Pooling and inference
@@ -85,17 +82,12 @@ def simulate(
     block = max(1, -(-batch // plan.n))
     a = embed_batch(q_ids, "query", model, block)
     b = embed_batch(p_ids, "product", model, block)
-    if naive:
-        totals = shard_partials(a, b)
-        scalars = 2 * plan.k * batch
-    else:
-        totals = shard_partials(a[:, plan.owned(0)], b[:, plan.owned(0)])
-        for s in range(1, plan.n):
-            totals += shard_partials(a[:, plan.owned(s)], b[:, plan.owned(s)])
-        scalars = 3 * plan.n * batch
+    totals = shard_partials(a[:, plan.owned(0)], b[:, plan.owned(0)])
+    for s in range(1, plan.n):
+        totals += shard_partials(a[:, plan.owned(s)], b[:, plan.owned(s)])
     dot, sq_a, sq_b = totals.T
     ok = (sq_a > 0.0) & (sq_b > 0.0)
     scores = np.zeros(batch, dtype=np.float64)
     np.divide(dot, np.sqrt(sq_a) * np.sqrt(sq_b), out=scores, where=ok)
-    ledger = CommLedger(pairs=batch, input_broadcasts=plan.n * batch, scalars_returned=scalars)
+    ledger = CommLedger(pairs=batch, input_broadcasts=plan.n * batch, scalars_returned=3 * plan.n * batch)
     return scores, ledger

@@ -3,23 +3,25 @@
 Text is broken into word unigrams, '#'-joined word n-grams, and character
 trigrams. All enabled token classes share one dense id space; tokens that
 miss the vocabulary either map to the reserved id 0 or are hashed into a
-fixed range of out-of-vocabulary bins.
+fixed range of out-of-vocabulary bins. Texts are encoded in batches: each
+distinct text is tokenized once, and the batch's distinct misses are hashed
+together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from itertools import groupby, repeat
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 UNIGRAM = "unigram"
 CHAR_TRIGRAM = "ctri"
-
-_WS = re.compile(r"\s+")
 
 # One tag byte per token class so identical strings from different classes
 # can never hash to the same OOV bin input.
@@ -47,6 +49,11 @@ def _class_tag(token_class: str) -> int:
     if token_class.startswith("ngram"):
         return _CLASS_TAG_BASE_NGRAM + int(token_class[5:])
     raise ValueError(f"unknown token class: {token_class!r}")
+
+
+@functools.cache
+def _tag_byte(token_class: str) -> bytes:
+    return bytes([_class_tag(token_class)])
 
 
 @dataclass(frozen=True)
@@ -94,16 +101,16 @@ def word_ngrams(tokens: list[str], n: int) -> list[str]:
     """Consecutive n-word windows joined with '#'. Empty when len(tokens) < n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return ["#".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    return list(map("#".join, zip(*[tokens[i:] for i in range(n)])))
 
 
 def char_trigrams(text: str) -> list[str]:
     """All 3-char windows of the text wrapped in '#' with whitespace runs as '#'."""
-    stripped = text.strip()
-    if not stripped:
+    words = text.split()
+    if not words:
         return []
-    wrapped = "#" + _WS.sub("#", stripped) + "#"
-    return [wrapped[i : i + 3] for i in range(len(wrapped) - 2)]
+    wrapped = "#" + "#".join(words) + "#"
+    return list(map("".join, zip(wrapped, wrapped[1:], wrapped[2:])))
 
 
 def _class_tokens(text: str, config: TokenizerConfig) -> list[tuple[str, list[str]]]:
@@ -129,6 +136,11 @@ def tokenize(text: str, config: TokenizerConfig) -> list[tuple[str, str]]:
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# Distinct misses an encode_batch call hashes one by one with fnv1a64 before
+# it defers the rest to one fnv1a64_many, whose fixed cost is about that of
+# this many fnv1a64 calls.
+_SCALAR_HASHES = 64
+_ENCODE_BLOCK = 256  # texts whose ids are listed in Python before one write
 
 
 def fnv1a64(data: bytes) -> int:
@@ -139,35 +151,49 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def hash_oov(token_class: str, token: str, bins: int, v: int) -> int:
-    """Deterministic OOV bin id in [V+1, V+B] for an unseen token."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    data = bytes([_class_tag(token_class)]) + token.encode("utf-8")
-    return v + 1 + fnv1a64(data) % bins
+def fnv1a64_many(data: Sequence[bytes]) -> np.ndarray:
+    """fnv1a64 of each byte string, as uint64. FNV-1a carries nothing from one
+    string to the next, so the strings are hashed side by side: one
+    xor-multiply per byte column, over the strings still that long."""
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    lengths = lengths[order]
+    width = int(lengths[0]) if len(data) else 0
+    columns = np.zeros((width, len(data)), dtype=np.uint8)
+    columns.T[np.arange(width) < lengths[:, None]] = np.frombuffer(
+        b"".join([data[i] for i in order]), dtype=np.uint8
+    )
+    alive = (len(data) - np.cumsum(np.bincount(lengths, minlength=width))).tolist()  # longer than j
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for j in range(width):
+        head = h[: alive[j]]
+        np.bitwise_xor(head, columns[j, : alive[j]], out=head)
+        np.multiply(head, prime, out=head)  # wraps modulo 2**64
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
 @dataclass
 class Vocabulary:
-    """Dense (class, token) -> id map plus the OOV bin range.
+    """Dense (class, token) -> id map plus the OOV bin range, kept as one
+    {token: id} table per token class so a lookup builds no key.
 
     Ids 1..V are in-vocabulary, 0 is the reserved masked id, and
     V+1..V+B are OOV hash bins.
     """
 
-    token_to_id: dict[tuple[str, str], int]
+    ids_by_class: dict[str, dict[str, int]]
     v: int
     oov_bins: int
     derived_query_max: int | None = None
     derived_product_max: int | None = None
 
-    def id_for(self, token_class: str, token: str) -> int:
-        tid = self.token_to_id.get((token_class, token))
-        if tid is not None:
-            return tid
-        if self.oov_bins > 0:
-            return hash_oov(token_class, token, self.oov_bins, self.v)
-        return 0
+    @property
+    def token_to_id(self) -> dict[tuple[str, str], int]:
+        """The (class, token) -> id map, built from the tables on each access."""
+        return {(c, t): tid for c, table in self.ids_by_class.items() for t, tid in table.items()}
 
     def max_tokens(self, side: str, config: TokenizerConfig) -> int:
         """The bag length of a side: the config's, else the one derived when
@@ -219,14 +245,14 @@ def build_vocabulary(
         if side in lengths:
             lengths[side].extend([bag_len] * times)
 
-    token_to_id: dict[tuple[str, str], int] = {}
+    ids_by_class: dict[str, dict[str, int]] = {}
     next_id = 1
     for token_class in config.enabled_classes():
         budget = config.budget_for(token_class)
-        ranked = sorted(counts[token_class].items(), key=lambda kv: (-kv[1], kv[0]))
-        for token, _freq in ranked[:budget]:
-            token_to_id[(token_class, token)] = next_id
-            next_id += 1
+        ranked = sorted(counts[token_class].items(), key=lambda kv: (-kv[1], kv[0]))[:budget]
+        if ranked:
+            ids_by_class[token_class] = {token: next_id + j for j, (token, _freq) in enumerate(ranked)}
+            next_id += len(ranked)
 
     derived_q = derived_p = None
     if config.query_max_tokens is None and lengths["query"]:
@@ -235,7 +261,7 @@ def build_vocabulary(
         derived_p = _nearest_rank_percentile(lengths["product"], 0.99)
 
     return Vocabulary(
-        token_to_id=token_to_id,
+        ids_by_class=ids_by_class,
         v=next_id - 1,
         oov_bins=config.oov_bins,
         derived_query_max=derived_q,
@@ -243,16 +269,70 @@ def build_vocabulary(
     )
 
 
+def encode_batch(
+    texts: Sequence[str], side: str, vocab: Vocabulary, config: TokenizerConfig
+) -> np.ndarray:
+    """Map texts to an (n, L) int64 array of id bags for the given side, each
+    right-padded with 0.
+
+    Each distinct text is tokenized once and its bag cut at L before lookup.
+    A token that misses the vocabulary maps to 0 without OOV bins. With
+    them, each distinct (class, token) miss of the call is hashed once
+    (class tag byte + UTF-8 token): the first _SCALAR_HASHES with fnv1a64
+    as they are met, any later ones together with fnv1a64_many once every
+    text is looked up, their slots holding negative placeholders until
+    then."""
+    max_len = vocab.max_tokens(side, config)
+    row_of: dict[str, int] = {}
+    rows = [row_of.setdefault(text, len(row_of)) for text in texts]
+    distinct = list(row_of)
+    bags = np.empty((len(distinct), max_len), dtype=np.int64)
+    flat_bags = bags.reshape(-1)
+    tables, v, bins = vocab.ids_by_class, vocab.v, vocab.oov_bins
+    missing = None if bins > 0 else 0  # what a miss looks up to
+    seen: dict[str, dict[str, int]] = {}  # per class: the id or placeholder of each miss so far
+    hashed = 0  # misses hashed as they were met
+    deferred: list[bytes] = []  # the later misses, tagged; placeholder -1 - i for deferred[i]
+    for start in range(0, len(distinct), _ENCODE_BLOCK):
+        flat: list[int] = []  # the block's bags, padded
+        for text in distinct[start : start + _ENCODE_BLOCK]:
+            room = max_len
+            for token_class, tokens in _class_tokens(text, config):
+                tokens = tokens[:room]
+                ids = list(map(tables.get(token_class, {}).get, tokens, repeat(missing)))
+                room -= len(ids)
+                misses = ids.count(None)
+                if misses:
+                    missed = seen.setdefault(token_class, {})
+                    j = -1
+                    for _ in range(misses):
+                        j = ids.index(None, j + 1)
+                        tid = missed.get(tokens[j])
+                        if tid is None:
+                            data = _tag_byte(token_class) + tokens[j].encode("utf-8")
+                            if hashed < _SCALAR_HASHES:
+                                tid = v + 1 + fnv1a64(data) % bins
+                                hashed += 1
+                            else:
+                                tid = -1 - len(deferred)
+                                deferred.append(data)
+                            missed[tokens[j]] = tid
+                        ids[j] = tid
+                flat += ids
+            flat += [0] * room
+        flat_bags[start * max_len : start * max_len + len(flat)] = flat
+    if deferred:
+        oov = v + 1 + (fnv1a64_many(deferred) % np.uint64(bins)).astype(np.int64)
+        holes = bags < 0
+        bags[holes] = oov[-1 - bags[holes]]
+    return bags if len(distinct) == len(rows) else bags[rows]
+
+
 def encode(
     text: str, side: str, vocab: Vocabulary, config: TokenizerConfig
 ) -> TokenBag:
-    """Map text to a fixed-length TokenBag for the given side."""
-    max_len = vocab.max_tokens(side, config)
-    ids = [vocab.id_for(c, t) for c, t in tokenize(text, config)]
-    ids = ids[:max_len]
-    out = np.zeros(max_len, dtype=np.int64)
-    out[: len(ids)] = ids
-    return TokenBag(ids=out)
+    """Map one text to a fixed-length TokenBag for the given side."""
+    return TokenBag(ids=encode_batch([text], side, vocab, config)[0])
 
 
 def save_vocabulary(vocab: Vocabulary, f: TextIO) -> None:
@@ -301,18 +381,26 @@ def load_vocabulary(f: TextIO) -> Vocabulary:
     # more than the parse on every `semmatch query`.
     try:
         rows = [line.split("\t") for line in lines if line]
-        token_to_id = {(token_class, token): int(tid) for token_class, token, tid in rows}
+        classes, tokens, tids = tuple(zip(*rows)) or ((), (), ())
+        ids = list(map(int, tids))
+        ids_by_class: dict[str, dict[str, int]] = {}
+        start = 0
+        for token_class, run in groupby(classes):  # save_vocabulary writes one run per class
+            stop = start + len(list(run))
+            ids_by_class.setdefault(token_class, {}).update(zip(tokens[start:stop], ids[start:stop]))
+            start = stop
         ok = (
-            len(token_to_id) == len(rows) == v
-            and sorted(token_to_id.values()) == list(range(1, v + 1))
-            and all(map(is_token_class, {token_class for token_class, _ in token_to_id}))
+            set(map(len, rows)) <= {3}
+            and len(rows) == v == sum(map(len, ids_by_class.values()))
+            and sorted(ids) == list(range(1, v + 1))
+            and all(map(is_token_class, ids_by_class))
         )
     except ValueError:
         ok = False
     if not ok:
         raise ValueError(_vocabulary_fault(lines, v))
     return Vocabulary(
-        token_to_id=token_to_id,
+        ids_by_class=ids_by_class,
         v=v,
         oov_bins=bins,
         derived_query_max=derived_q,

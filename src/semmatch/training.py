@@ -14,7 +14,7 @@ from . import model as model_mod
 from .losses import Label3, LossSpec, loss_batch, loss_grad_batch
 from .model import EmbeddingModel, ModelConfig, NormState, SparseRowGrad, forward_batch, backward_batch
 from .synth import LogRecord
-from .tokenizer import TokenizerConfig, Vocabulary, encode
+from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 
 _REC_MAGIC = b"SMRECS01"
 _REC_VERSION = 1
@@ -72,8 +72,10 @@ def preprocess_logs(
     config: TokenizerConfig,
     out_path: str,
 ) -> dict[str, int]:
-    """Aggregate identical (query, product, label) triples, encode once, and
-    write the fixed-width binary record file. Returns per-label counters."""
+    """Aggregate identical (query, product, label) triples and write the
+    fixed-width binary record file, in sorted triple order. Each side's
+    texts are encoded in one batch, which encodes each distinct text once.
+    Returns per-label counters."""
     weights: dict[tuple[str, str, str], float] = {}
     product_text: dict[str, str] = {}
     for rec in logs:
@@ -84,22 +86,14 @@ def preprocess_logs(
         raise ValueError("no usable log rows to preprocess")
 
     qmax, pmax = vocab.max_tokens("query", config), vocab.max_tokens("product", config)
-
-    query_bags: dict[str, np.ndarray] = {}
-    product_bags: dict[str, np.ndarray] = {}
-    dt = record_dtype(qmax, pmax)
-    out = np.zeros(len(weights), dtype=dt)
-    stats = {"purchased": 0, "impressed": 0}
-    for i, ((query, pid, label), w) in enumerate(sorted(weights.items())):
-        if query not in query_bags:
-            query_bags[query] = encode(query, "query", vocab, config).ids
-        if pid not in product_bags:
-            product_bags[pid] = encode(product_text[pid], "product", vocab, config).ids
-        out[i]["label"] = _LABEL_CODE[label]
-        out[i]["weight"] = w
-        out[i]["query"] = query_bags[query]
-        out[i]["product"] = product_bags[pid]
-        stats[label] += 1
+    keys = sorted(weights)
+    labels = [label for _, _, label in keys]
+    out = np.zeros(len(keys), dtype=record_dtype(qmax, pmax))
+    out["label"] = [_LABEL_CODE[label] for label in labels]
+    out["weight"] = [weights[key] for key in keys]
+    out["query"] = encode_batch([query for query, _, _ in keys], "query", vocab, config)
+    out["product"] = encode_batch([product_text[pid] for _, pid, _ in keys], "product", vocab, config)
+    stats = {label: labels.count(label) for label in ("purchased", "impressed")}
     write_records(out_path, qmax, pmax, out)
     return stats
 

@@ -366,7 +366,7 @@ class TestErrors:
         assert not (tmp_path / "index.bin").exists()
 
     @pytest.mark.parametrize(
-        "case", ["id used twice", "id 0", "id above V", "unknown class", "two fields", "line repeated"]
+        "case", ["id used twice", "id 0", "id above V", "unknown class", "two fields", "four fields", "line repeated"]
     )
     def test_broken_vocabulary_line_exits_one(self, derived, tmp_path, case):
         """Record line 3 (id 2) is replaced by a broken one, or a copy of
@@ -382,6 +382,7 @@ class TestErrors:
             "id above V": f"{token_class}\t{token}\t{v + 1}",
             "unknown class": f"unigrm\t{token}\t2",
             "two fields": f"{token_class}\t{token}",
+            "four fields": f"{token_class}\t{token}\t2\t2",
             "line repeated": lines[1],
         }[case]
         lines[2 : 2 if case == "line repeated" else 3] = [bad]

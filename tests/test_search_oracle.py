@@ -1,9 +1,10 @@
 """Exact retrieval and matching eval against the full-sort oracle.
 
-The oracle is the straightforward path: lexsort every product by
-(score desc, id asc), walk that order for top_k, and score the matching
-metrics over the whole ranked id list. The library selects only the head
-of the ranking and counts positions instead; both must agree exactly.
+The oracle is the straightforward path: encode each text on its own with
+the per-text encoder, lexsort every product by (score desc, id asc), walk
+that order for top_k, and score the matching metrics over the whole ranked
+id list. The library encodes in batches, selects only the head of the
+ranking and counts positions instead; both must agree exactly.
 """
 
 import numpy as np
@@ -11,14 +12,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import encode_oracle
 from metric_oracle import average_precision, mrr, ndcg, recall_at_k
 from semmatch.evaluation import EvalQuery, MetricReport, positions, run_matching_eval, run_ranking_eval
-from semmatch.index import MatchResult, ProductIndex, _embed_texts, embed_query, rank_all, top_k
-from semmatch.model import ModelConfig
+from semmatch.index import MatchResult, ProductIndex, rank_all, top_k
+from semmatch.model import ModelConfig, embed_batch
 from semmatch.tokenizer import UNIGRAM, TokenizerConfig, build_vocabulary
 from semmatch.training import init_model
 
-# -- oracle: full sort, Python walk, full-list metrics -------------------------
+# -- oracle: per-text encoding, full sort, Python walk, full-list metrics ------
+
+
+def oracle_embed(texts, side, model, vocab, config):
+    """Unit embeddings of texts encoded one at a time, pooled one bag at a time."""
+    out = embed_batch(encode_oracle.encode_batch(texts, side, vocab, config), side, model, 1)
+    norms = np.linalg.norm(out, axis=1)
+    return out / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
 def oracle_order(query_vec, index):
@@ -26,10 +35,10 @@ def oracle_order(query_vec, index):
     return scores, np.lexsort((index._id_rank, -scores))
 
 
-def oracle_top_k(query_text, index, model, vocab, config, k, threshold=0.55, query_id=""):
+def oracle_top_k(query_text, index, model, vocab, config, k, threshold=0.55):
     if k < 1:
         raise ValueError("k must be >= 1")
-    qvec = embed_query(query_text, model, vocab, config)
+    qvec = oracle_embed([query_text], "query", model, vocab, config)[0]
     scores, order = oracle_order(qvec, index)
     items = []
     for i in order:
@@ -37,7 +46,7 @@ def oracle_top_k(query_text, index, model, vocab, config, k, threshold=0.55, que
             break
         if scores[i] >= threshold:
             items.append((index.ids[i], float(scores[i])))
-    return MatchResult(query_id=query_id, threshold=threshold, items=items)
+    return MatchResult(items=items)
 
 
 def oracle_matching_eval(queries, index, model, vocab, config, k=100):
@@ -47,7 +56,7 @@ def oracle_matching_eval(queries, index, model, vocab, config, k=100):
         if not relevant:
             report.skipped += 1
             continue
-        qvec = embed_query(q.text, model, vocab, config)
+        qvec = oracle_embed([q.text], "query", model, vocab, config)[0]
         _, order = oracle_order(qvec, index)
         ranked = [index.ids[i] for i in order]
         gains = {pid: 1.0 for pid in relevant}
@@ -89,7 +98,7 @@ def tied_index(seed, size, model, vocab):
     grid = rng.integers(-1, 2, size=(4, model.n)).astype(np.float64)
     norms = np.linalg.norm(grid, axis=1, keepdims=True)
     grid = np.divide(grid, norms, out=np.zeros_like(grid), where=norms > 0)
-    pool = np.vstack([_embed_texts(TEXTS, "product", model, vocab, TC), grid, np.zeros((1, model.n))])
+    pool = np.vstack([oracle_embed(TEXTS, "product", model, vocab, TC), grid, np.zeros((1, model.n))])
     matrix = pool[rng.integers(0, len(pool), size=size)]
     ids = [f"p{j}" for j in rng.permutation(size)]
     return ProductIndex(ids=ids, matrix=matrix, fingerprint=b"\0" * 32)
@@ -191,8 +200,8 @@ def oracle_ranking_eval(queries, product_texts, model, vocab, config):
             report.skipped += 1
             continue
         candidates = sorted(set(q.purchased) | q.impressed)
-        qvec = embed_query(q.text, model, vocab, config)
-        cand_matrix = _embed_texts([product_texts[pid] for pid in candidates], "product", model, vocab, config)
+        qvec = oracle_embed([q.text], "query", model, vocab, config)[0]
+        cand_matrix = oracle_embed([product_texts[pid] for pid in candidates], "product", model, vocab, config)
         score_of = dict(zip(candidates, cand_matrix @ qvec))
         ranked = sorted(candidates, key=lambda pid: (-score_of[pid], pid))
         gains = {pid: float(c) for pid, c in q.purchased.items()}

@@ -109,14 +109,19 @@ class TestSimulate:
         assert ledger.scalars_per_pair() == 12.0
 
     def test_naive_ledger_counts(self):
+        """Shipping full embedding slices (the oracle's naive mode) costs 2k
+        scalars per pair against the decomposed 3n, for the same scores."""
         model = make_model(16)
         rng = np.random.default_rng(0)
         q = rng.integers(1, 61, size=(10, 4))
         p = rng.integers(1, 61, size=(10, 4))
-        scores, ledger = simulate(ShardPlan(n=4, k=16), q, p, model, naive=True)
+        plan = ShardPlan(n=4, k=16)
+        scores, ledger = sharding_oracle.simulate(plan, q, p, model, naive=True)
         assert ledger.scalars_returned == 10 * 2 * 16
         direct, _ = forward_batch(q, p, model, "infer")
         np.testing.assert_allclose(scores, direct, atol=1e-12, rtol=0)
+        decomposed, _ = simulate(plan, q, p, model)
+        np.testing.assert_allclose(decomposed, scores, atol=1e-12, rtol=0)
 
     def test_empty_bags_score_zero(self):
         model = make_model(8, norm="batch")
@@ -168,8 +173,7 @@ class TestBatchPartials:
         with pytest.raises(ValueError):
             shard_partials(np.ones(3), np.ones(3))
 
-    @pytest.mark.parametrize("naive", [False, True])
-    def test_shards_reply_in_order_from_their_own_columns(self, monkeypatch, naive):
+    def test_shards_reply_in_order_from_their_own_columns(self, monkeypatch):
         """Shard s sees columns plan.owned(s) of the normalized embeddings,
         and the scores are its replies summed in shard order, to the bit."""
         model = make_model(16, norm="batch")
@@ -185,10 +189,10 @@ class TestBatchPartials:
 
         monkeypatch.setattr(sharding, "shard_partials", spy)
         plan = ShardPlan(n=4, k=16)
-        scores, _ = simulate(plan, q, p, model, naive=naive)
+        scores, _ = simulate(plan, q, p, model)
         a = normalize(pool_batch(q, model.query_matrix)[0], "query", model, "infer")
         b = normalize(pool_batch(p, model.product_matrix)[0], "product", model, "infer")
-        blocks = [slice(None)] if naive else [plan.owned(s) for s in range(4)]
+        blocks = [plan.owned(s) for s in range(4)]
         assert len(seen) == len(blocks)
         for (got_a, got_b), dims in zip(seen, blocks):
             assert got_a.tobytes() == a[:, dims].tobytes()
@@ -250,12 +254,12 @@ def sharded_cases(draw):
 
 
 class TestAgainstOracle:
-    @given(sharded_cases(), st.booleans())
+    @given(sharded_cases())
     @settings(max_examples=300, deadline=None)
-    def test_batch_path_matches_per_pair_oracle(self, case, naive):
+    def test_batch_path_matches_per_pair_oracle(self, case):
         plan, q, p, model = case
-        scores, ledger = simulate(plan, q, p, model, naive=naive)
-        want, want_ledger = sharding_oracle.simulate(plan, q, p, model, naive=naive)
+        scores, ledger = simulate(plan, q, p, model)
+        want, want_ledger = sharding_oracle.simulate(plan, q, p, model)
         assert scores.shape == want.shape == (len(q),)
         np.testing.assert_allclose(scores, want, atol=1e-12, rtol=0)
         assert ledger == want_ledger

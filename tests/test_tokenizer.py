@@ -1,13 +1,17 @@
 """Tokenizer, vocabulary, and OOV hashing tests."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import encode_oracle
 import vocabulary_oracle
+from encode_oracle import hash_oov
+from semmatch import tokenizer
 from semmatch.tokenizer import (
     CHAR_TRIGRAM,
     UNIGRAM,
@@ -16,8 +20,9 @@ from semmatch.tokenizer import (
     build_vocabulary,
     char_trigrams,
     encode,
+    encode_batch,
     fnv1a64,
-    hash_oov,
+    fnv1a64_many,
     load_vocabulary,
     ngram_class,
     save_vocabulary,
@@ -385,3 +390,145 @@ class TestEncode:
         bag = encode(text, "query", vocab, cfg)
         assert bag.ids.min() >= 0
         assert bag.ids.max() <= vocab.v + vocab.oov_bins
+
+
+# Words that hit and miss a small vocabulary: Unicode letters, '#' inside a
+# word, digits and repeats, so bags hold n-grams and trigrams of all kinds.
+WORDS = ["red", "Red", "shoe", "sale", "x", "#", "a#b", "ü", "Straße", "ß", "日本", "model99", "shoe#"]
+SPACES = [" ", "  ", "\t", "\n", " ", "　", " \t "]
+
+
+@st.composite
+def encode_cases(draw):
+    """A tokenizer config over any class combination, a vocabulary built from
+    some texts, and a batch of other texts with repeats and empty ones."""
+    orders = draw(st.sets(st.sampled_from([2, 3])))
+    unigrams = draw(st.booleans())
+    trigrams = draw(st.booleans()) or not (unigrams or orders)
+    classes = [UNIGRAM] * unigrams + [ngram_class(n) for n in orders] + [CHAR_TRIGRAM] * trigrams
+    max_len = st.integers(1, 14)
+    cfg = TokenizerConfig(
+        lowercase=draw(st.booleans()),
+        use_unigrams=unigrams,
+        ngram_orders=tuple(orders),
+        use_char_trigrams=trigrams,
+        budget_per_class={c: draw(st.integers(1, 12)) for c in classes},
+        oov_bins=draw(st.sampled_from([0, 1, 7, 1000])),
+        query_max_tokens=draw(max_len),
+        product_max_tokens=draw(max_len),
+    )
+    words = st.sampled_from(WORDS) | st.text(max_size=4)
+    text = st.builds(
+        lambda ws, gaps, lead, trail: lead + "".join(w + g for w, g in zip(ws, gaps)) + trail,
+        st.lists(words, max_size=6),
+        st.lists(st.sampled_from(SPACES), min_size=6, max_size=6),
+        st.sampled_from(["", " ", "\t\n"]),
+        st.sampled_from(["", " ", " "]),
+    )
+    corpus = [(side, t) for side in ("query", "product") for t in draw(st.lists(text, min_size=1, max_size=8))]
+    vocab = build_vocabulary(corpus, cfg)
+    texts = draw(st.lists(text | st.sampled_from(["", "   ", "\t"]), max_size=12))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=4)) if texts else []  # repeats
+    return cfg, vocab, draw(st.permutations(texts)), draw(st.sampled_from(["query", "product"]))
+
+
+class TestEncodeBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(case=encode_cases(), scalar_hashes=st.sampled_from([0, 1, 3, tokenizer._SCALAR_HASHES]))
+    def test_equals_per_text_oracle(self, case, scalar_hashes):
+        """Rows equal the per-text encoder's, whether the misses are hashed
+        one by one, all together, or some each way."""
+        cfg, vocab, texts, side = case
+        with mock.patch.object(tokenizer, "_SCALAR_HASHES", scalar_hashes):
+            got = encode_batch(texts, side, vocab, cfg)
+        want = encode_oracle.encode_batch(texts, side, vocab, cfg)
+        assert got.dtype == np.int64
+        assert got.shape == want.shape == (len(texts), vocab.max_tokens(side, cfg))
+        assert got.tobytes() == want.tobytes()
+        for text, row in zip(texts, got):
+            assert encode(text, side, vocab, cfg).ids.tobytes() == row.tobytes()
+
+    def test_many_misses_hashed_together_equal_oracle(self):
+        """More distinct misses than _SCALAR_HASHES, at the real constant, in
+        every class; bags cut exactly at L and longer."""
+        cfg = TokenizerConfig(
+            use_unigrams=True,
+            ngram_orders=(2, 3),
+            use_char_trigrams=True,
+            budget_per_class={UNIGRAM: 5, ngram_class(2): 5, ngram_class(3): 5, CHAR_TRIGRAM: 5},
+            oov_bins=97,
+            query_max_tokens=9,
+            product_max_tokens=60,
+        )
+        vocab = build_vocabulary(_corpus(["red shoe sale", "blue shoe"]), cfg)
+        texts = [f"red w{i} shoe v{i * 7} sale" for i in range(3 * tokenizer._SCALAR_HASHES)]
+        texts += ["", "red shoe sale", texts[5]]
+        for side in ("query", "product"):
+            got = encode_batch(texts, side, vocab, cfg)
+            assert got.tobytes() == encode_oracle.encode_batch(texts, side, vocab, cfg).tobytes()
+        assert np.count_nonzero(got[:-3] > vocab.v) > tokenizer._SCALAR_HASHES
+
+    def test_empty_batch(self):
+        cfg = TokenizerConfig(budget_per_class={UNIGRAM: 5}, oov_bins=3, query_max_tokens=4)
+        vocab = build_vocabulary(_corpus(["red"]), cfg)
+        assert encode_batch([], "query", vocab, cfg).shape == (0, 4)
+
+
+class TestFnv1a64Many:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.lists(st.binary(max_size=40), max_size=3 * tokenizer._SCALAR_HASHES))
+    def test_equals_scalar(self, data):
+        got = fnv1a64_many(data)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [fnv1a64(d) for d in data]
+
+    @pytest.mark.parametrize("count", [0, 1] + [tokenizer._SCALAR_HASHES + d for d in (-1, 0, 1)])
+    def test_counts_around_the_selection(self, count):
+        rng = np.random.default_rng(count)
+        data = [b""] + [rng.bytes(int(n)) for n in rng.integers(0, 30, size=count)]
+        assert fnv1a64_many(data).tolist() == [fnv1a64(d) for d in data]
+        assert fnv1a64_many([b""]).tolist() == [0xCBF29CE484222325]
+
+
+def split_by_class(token_to_id):
+    tables: dict[str, dict[str, int]] = {}
+    for (token_class, token), tid in token_to_id.items():
+        tables.setdefault(token_class, {})[token] = tid
+    return tables
+
+
+class TestClassTables:
+    @settings(max_examples=150, deadline=None)
+    @given(case=encode_cases())
+    def test_tables_hold_the_records_after_build_and_load(self, case):
+        """After a build the tables are the per-record oracle's; after a
+        load they hold exactly the file's records, and token_to_id is their
+        (class, token) view."""
+        cfg, vocab, _, _ = case
+        corpus = [("query", "red shoe"), ("product", "Straße a#b ü red")]
+        built = build_vocabulary(corpus, cfg)
+        assert built.ids_by_class == vocabulary_oracle.build_vocabulary(corpus, cfg).ids_by_class
+        for v in (built, vocab):
+            buf = io.StringIO()
+            save_vocabulary(v, buf)
+            records = {(c, t): int(tid) for c, t, tid in (line.split("\t") for line in buf.getvalue().splitlines()[1:])}
+            assert records == v.token_to_id
+            buf.seek(0)
+            loaded = load_vocabulary(buf)
+            assert loaded.ids_by_class == split_by_class(records)
+            assert loaded.token_to_id == records
+
+    def test_load_merges_a_class_split_over_runs(self):
+        text = "V=4 B=0\nunigram\tred\t3\nctri\t#re\t1\nunigram\tshoe\t2\nctri\tred\t4\n"
+        loaded = load_vocabulary(io.StringIO(text))
+        assert loaded.ids_by_class == {"unigram": {"red": 3, "shoe": 2}, "ctri": {"#re": 1, "red": 4}}
+
+    @pytest.mark.parametrize(
+        "body",
+        ["unigram\tred\t1\nunigram\tred\t2\n", "unigram\tred\t1\nctri\tred\t2\nunigram\tred\t3\n"],
+        ids=["within one run", "across runs"],
+    )
+    def test_load_rejects_repeated_tokens(self, body):
+        v = body.count("\n")
+        with pytest.raises(ValueError, match="no token or id repeated"):
+            load_vocabulary(io.StringIO(f"V={v} B=0\n" + body))

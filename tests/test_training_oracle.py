@@ -1,22 +1,27 @@
-"""Epoch sampling, the embedding backward pass and ADAM against their first
-versions.
+"""Preprocessing, epoch sampling, the embedding backward pass and ADAM
+against their first versions.
 
-The oracles are the straightforward paths the library replaced: a sampler
+The oracles are the straightforward paths the library replaced: a record
+writer that encodes each text on its own and fills the records row by row, a sampler
 that regroups the records by bag bytes every epoch and draws every pick with
 its own `integers` call, scatter-adds with `np.add.at`, and an ADAM step
 with one formula for sparse rows and another for dense arrays. The library
 groups once per train call, draws in blocks, scatters with `np.bincount`
-and updates sparse and dense parameters with one formula. Both must agree
+and updates sparse and dense parameters with one formula; it encodes each
+side's texts in one batch and fills the records by column. Both must agree
 to the byte, and so must the checkpoints they train.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import encode_oracle
 from semmatch import model as model_mod
-from semmatch import training
+from semmatch import synth, training
 from semmatch.losses import Label3, LossSpec
 from semmatch.model import (
     ModelConfig,
@@ -26,6 +31,7 @@ from semmatch.model import (
     backward_batch,
     forward_batch,
 )
+from semmatch.tokenizer import CHAR_TRIGRAM, UNIGRAM, TokenizerConfig, build_vocabulary, ngram_class
 from semmatch.training import (
     AdamState,
     EpochSample,
@@ -33,13 +39,36 @@ from semmatch.training import (
     adam_step,
     group_records,
     init_model,
+    preprocess_logs,
     record_dtype,
     sample_epoch,
     train,
+    write_records,
 )
 from single_item import serialize_model
 
-# -- oracles: regroup every epoch, one draw per pick, np.add.at ------------------
+# -- oracles: per-text encoding and per-row records, regroup every epoch, one ----
+# -- draw per pick, np.add.at ----------------------------------------------------
+
+
+def oracle_preprocess_logs(logs, vocab, config, out_path):
+    weights = {}
+    product_text = {}
+    for rec in logs:
+        key = (rec.query, rec.product_id, rec.label)
+        weights[key] = weights.get(key, 0.0) + rec.count
+        product_text[rec.product_id] = rec.product_text
+    qmax, pmax = vocab.max_tokens("query", config), vocab.max_tokens("product", config)
+    out = np.zeros(len(weights), dtype=record_dtype(qmax, pmax))
+    stats = {"purchased": 0, "impressed": 0}
+    for i, ((query, pid, label), w) in enumerate(sorted(weights.items())):
+        out[i]["label"] = int(Label3.PURCHASED if label == "purchased" else Label3.IMPRESSED)
+        out[i]["weight"] = w
+        out[i]["query"] = encode_oracle.encode(query, "query", vocab, config)
+        out[i]["product"] = encode_oracle.encode(product_text[pid], "product", vocab, config)
+        stats[label] += 1
+    write_records(out_path, qmax, pmax, out)
+    return stats
 
 
 def oracle_sample_epoch(
@@ -447,3 +476,30 @@ def test_trained_checkpoint_equals_oracle_path(monkeypatch, shared, norm):
     monkeypatch.setattr(model_mod, "_merge_sparse", oracle_merge_sparse)
     monkeypatch.setattr(training, "adam_step", oracle_adam_step)
     assert trained() == got
+
+
+class TestPreprocessOracle:
+    @pytest.mark.parametrize("bins", [0, 50])
+    def test_records_file_equals_oracle(self, tmp_path, bins):
+        """Queries and products repeat across rows, some rows repeat outright,
+        one product's text changes between rows (the last one is encoded),
+        and the short bags cut long texts."""
+        corpus = synth._generate(
+            synth.SynthConfig(concepts=12, products=120, queries=60, eval_queries=0, typo_rate=0.1,
+                              model_number_rate=0.5, seed=3)
+        )
+        logs = corpus.train_logs + corpus.train_logs[:40]
+        last = logs[-1]
+        logs.append(dataclasses.replace(last, product_text=last.product_text + " restyled", count=2))
+        classes = [UNIGRAM, ngram_class(2), CHAR_TRIGRAM]
+        cfg = TokenizerConfig(ngram_orders=(2,), use_char_trigrams=True,
+                              budget_per_class=dict.fromkeys(classes, 40), oov_bins=bins,
+                              query_max_tokens=12, product_max_tokens=30)
+        vocab = build_vocabulary([("query", r.query) for r in logs] + [("product", r.product_text) for r in logs], cfg)
+        got_path, want_path = tmp_path / "got.bin", tmp_path / "want.bin"
+        got = preprocess_logs(logs, vocab, cfg, str(got_path))
+        want = oracle_preprocess_logs(logs, vocab, cfg, str(want_path))
+        assert got == want
+        assert list(got) == ["purchased", "impressed"]
+        assert got_path.read_bytes() == want_path.read_bytes()
+        assert len({r.query for r in logs}) < sum(got.values())

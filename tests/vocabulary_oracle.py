@@ -24,13 +24,13 @@ def build_vocabulary(corpus: Iterable[tuple[str, str]], config: TokenizerConfig)
     if seen == 0:
         raise ValueError("empty corpus: no records to build a vocabulary from")
 
-    token_to_id: dict[tuple[str, str], int] = {}
+    ids_by_class: dict[str, dict[str, int]] = {}
     next_id = 1
     for token_class in config.enabled_classes():
         budget = config.budget_for(token_class)
         ranked = sorted(counts[token_class].items(), key=lambda kv: (-kv[1], kv[0]))
         for token, _freq in ranked[:budget]:
-            token_to_id[(token_class, token)] = next_id
+            ids_by_class.setdefault(token_class, {})[token] = next_id
             next_id += 1
 
     derived_q = derived_p = None
@@ -40,7 +40,7 @@ def build_vocabulary(corpus: Iterable[tuple[str, str]], config: TokenizerConfig)
         derived_p = _nearest_rank_percentile(lengths["product"], 0.99)
 
     return Vocabulary(
-        token_to_id=token_to_id,
+        ids_by_class=ids_by_class,
         v=next_id - 1,
         oov_bins=config.oov_bins,
         derived_query_max=derived_q,
