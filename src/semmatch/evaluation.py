@@ -15,6 +15,8 @@ from .model import EmbeddingModel
 from .synth import LogRecord
 from .tokenizer import TokenizerConfig, Vocabulary
 
+_SCORE_BLOCK = 2**20  # scores per matrix product in the matching eval: 8 MB of float64
+
 
 @dataclass
 class EvalQuery:
@@ -87,6 +89,21 @@ class MetricReport:
         }
 
 
+def _dot_error(qnorms: np.ndarray, max_row_norm: float, dim: int) -> np.ndarray:
+    """Per query, a bound on |computed - exact| of `row . q` for every row of
+    an index, whatever order a BLAS kernel sums in: gamma_dim * ||q|| *
+    max ||row|| (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1, then Cauchy-Schwarz).
+
+    Each computed norm is raised by 2**-500, more than the squares that
+    underflow can hide from it, and gamma_dim * 2**-1000 exceeds the
+    dim * 2**-1075 that products lost to underflow can add. The 2**-20
+    margin covers the rounding of the norms and of this formula."""
+    u = np.finfo(np.float64).eps / 2
+    gamma = dim * u / (1 - dim * u) * (1 + 2**-20)
+    return gamma * (qnorms + 2**-500) * (max_row_norm + 2**-500)
+
+
 def run_matching_eval(
     queries: list[EvalQuery],
     index: ProductIndex,
@@ -101,30 +118,48 @@ def run_matching_eval(
     the full (score desc, id asc) order: Recall@k and AP@k from those within
     k, NDCG and MRR from all of them. A purchased product missing from the
     index has no rank and counts only in the denominators and the IDCG.
+
+    The ranks are those of the per-query scan `index.matrix @ qvec`, while
+    the queries are scored `_SCORE_BLOCK // products` at a time with one
+    matrix product. The two kernels may differ in the last bits, but each
+    is within e = `_dot_error` of the exact dot. So when no other product's
+    block score lies within 4e of a purchased product's, the scan orders
+    every product against it the same way and ties none with it, and its
+    rank is 1 + the number of higher block scores. A query with any closer
+    score is ranked from the scan's own scores.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    row_of = {pid: i for i, pid in enumerate(index.ids)}
+    row_of = index.row_of
     live = [q for q in queries if q.purchased]
     report = MetricReport(skipped=len(queries) - len(live))
     qvecs = _embed_texts([q.text for q in live], "query", model, vocab, config)
-    for q, qvec in zip(live, qvecs):
-        n = len(q.purchased)
-        scores = index.matrix @ qvec
-        rows = np.array([row_of[pid] for pid in q.purchased if pid in row_of], dtype=np.intp)
-        ranks = sorted(positions(scores, rows, index._id_rank).tolist())
-        hits = bisect.bisect_right(ranks, k)
-        ap = 0.0  # precision at each hit within k, added in rank order
-        for j, rank in enumerate(ranks[:hits], start=1):
-            ap += j / rank
-        report.add(
-            {
-                "recall": hits / n,
-                "map": ap / n,
-                "matching_ndcg": _ndcg(ranks, [1.0] * len(ranks), [1.0] * n),
-                "matching_mrr": _mrr(ranks),
-            }
-        )
+    windows = 4 * _dot_error(np.linalg.norm(qvecs, axis=1), index.max_row_norm, index.matrix.shape[1])
+    step = max(1, _SCORE_BLOCK // max(1, len(index.ids)))
+    for start in range(0, len(live), step):
+        block = slice(start, start + step)
+        scored = qvecs[block] @ index.matrix.T
+        for q, qvec, scores, window in zip(live[block], qvecs[block], scored, windows[block]):
+            n = len(q.purchased)
+            rows = np.array([row_of[pid] for pid in q.purchased if pid in row_of], dtype=np.intp)
+            s = scores[rows][:, None]
+            if np.count_nonzero(np.abs(scores - s) <= window) == len(rows):
+                ranks = 1 + np.count_nonzero(scores > s, axis=1)
+            else:
+                ranks = positions(index.matrix @ qvec, rows, index._id_rank)
+            ranks = sorted(ranks.tolist())
+            hits = bisect.bisect_right(ranks, k)
+            ap = 0.0  # precision at each hit within k, added in rank order
+            for j, rank in enumerate(ranks[:hits], start=1):
+                ap += j / rank
+            report.add(
+                {
+                    "recall": hits / n,
+                    "map": ap / n,
+                    "matching_ndcg": _ndcg(ranks, [1.0] * len(ranks), [1.0] * n),
+                    "matching_mrr": _mrr(ranks),
+                }
+            )
     report.finalize()
     return report
 

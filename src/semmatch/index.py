@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import BinaryIO, Iterable
 
 import numpy as np
@@ -21,7 +22,7 @@ _IDX_MAGIC = b"SMINDEX2"
 _IDX_VERSION = 2
 _IDX_HEADER = struct.Struct("<IQIQ")  # version, count, n, id blob length
 _IDX_PREFIX = 8 + _IDX_HEADER.size + 32  # magic, header, model fingerprint
-_EMBED_BLOCK = 2048  # rows pooled at once; bounds the (rows, tokens, N) gather
+_EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays near 2 MB
 
 
 @dataclass
@@ -41,6 +42,16 @@ class ProductIndex:
             id_rank[np.asarray(order, dtype=np.intp)] = np.arange(n)
         self._id_rank = id_rank
 
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Row of each product id, built on first use."""
+        return {pid: i for i, pid in enumerate(self.ids)}
+
+    @cached_property
+    def max_row_norm(self) -> float:
+        """Largest row norm (0.0 for an empty index), computed on first use."""
+        return float(np.sqrt(np.einsum("ij,ij->i", self.matrix, self.matrix).max(initial=0.0)))
+
 
 @dataclass
 class MatchResult:
@@ -54,11 +65,12 @@ def _embed_texts(
     if not texts:
         return np.zeros((0, model.n), dtype=np.float64)
     ids = encode_batch(texts, side, vocab, config)
-    out = embed_batch(ids, "query" if side == "query" else "product", model, _EMBED_BLOCK)
+    block = max(1, _EMBED_FLOATS // (ids.shape[1] * model.n))
+    out = embed_batch(ids, "query" if side == "query" else "product", model, block)
     # Scaled to unit rows in place, a block at a time: np.linalg.norm over
     # all of `out` would allocate a temporary of its size.
-    for start in range(0, len(out), _EMBED_BLOCK):
-        rows = out[start : start + _EMBED_BLOCK]
+    for start in range(0, len(out), block):
+        rows = out[start : start + block]
         norms = np.linalg.norm(rows, axis=1)
         rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return out

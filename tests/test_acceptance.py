@@ -13,7 +13,9 @@ import os
 import numpy as np
 import pytest
 from metric_oracle import average_precision, mrr, ndcg, recall_at_k
+from search_oracle import oracle_matching_eval
 
+from semmatch import evaluation
 from semmatch.cli import main as cli_main
 from semmatch.evaluation import load_eval_queries, run_matching_eval
 from semmatch.index import build_index, load_index, save_index
@@ -561,3 +563,23 @@ def test_criterion_10_determinism_roundtrips(capsys, tmp_path):
     report(capsys, 10, ok,
            f"two seeded pipeline runs bitwise identical: {bitwise}; "
            f"checkpoint round-trip: {model_rt}; index round-trip: {index_rt}")
+
+
+# ---------------------------------------------------------------------------
+# Blocked matching eval on the trained standard fixture
+
+
+def test_blocked_matching_eval_certified_on_standard_fixture(standard_fixture, monkeypatch):
+    """Every query's ranks come from the block scores, none from the
+    per-query scan, and every per-query value equals the scan oracle's."""
+    corpus, queries = standard_fixture["corpus"], standard_fixture["queries"]
+    model, vocab = standard_fixture["model"]["hinge3"], standard_fixture["vocab"]
+    index = build_index(corpus.catalog, model, vocab, STANDARD_TOK)
+    scans = []
+    positions = evaluation.positions
+    monkeypatch.setattr(evaluation, "positions", lambda *args: scans.append(args) or positions(*args))
+    got = run_matching_eval(queries, index, model, vocab, STANDARD_TOK, k=100)
+    want = oracle_matching_eval(queries, index, model, vocab, STANDARD_TOK, k=100)
+    assert (len(scans), got.evaluated) == (0, want.evaluated)
+    assert got.per_query == want.per_query
+    assert got.means == want.means

@@ -72,7 +72,7 @@ class TestBuildIndex:
         model = init_model(vocab.v, vocab.oov_bins, cfg, np.random.default_rng(1))
         texts = [text for _, text in CATALOG] * 3 + ["", "warm red"]
         whole = _embed_texts(texts, "product", model, vocab, TC)
-        monkeypatch.setattr(index_mod, "_EMBED_BLOCK", 4)
+        monkeypatch.setattr(index_mod, "_EMBED_FLOATS", 4 * TC.product_max_tokens * 16)  # 4 rows
         blocked = _embed_texts(texts, "product", model, vocab, TC)
         assert blocked.tobytes() == whole.tobytes()
 

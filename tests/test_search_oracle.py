@@ -1,76 +1,29 @@
 """Exact retrieval and matching eval against the full-sort oracle.
 
-The oracle is the straightforward path: encode each text on its own with
-the per-text encoder, lexsort every product by (score desc, id asc), walk
-that order for top_k, and score the matching metrics over the whole ranked
-id list. The library encodes in batches, selects only the head of the
-ranking and counts positions instead; both must agree exactly.
+The oracle (search_oracle.py) is the straightforward path: encode each text
+on its own with the per-text encoder, score with one matrix-vector product
+per query, lexsort every product by (score desc, id asc), walk that order
+for top_k, and score the matching metrics over the whole ranked id list.
+The library encodes in batches, scores the matching eval's queries in
+blocks, selects only the head of the ranking and counts positions instead;
+both must agree exactly.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import encode_oracle
-from metric_oracle import average_precision, mrr, ndcg, recall_at_k
+from metric_oracle import mrr, ndcg
+from search_oracle import oracle_embed, oracle_matching_eval, oracle_order, oracle_top_k
+from semmatch import evaluation
 from semmatch.evaluation import EvalQuery, MetricReport, positions, run_matching_eval, run_ranking_eval
-from semmatch.index import MatchResult, ProductIndex, rank_all, top_k
-from semmatch.model import ModelConfig, embed_batch
+from semmatch.index import ProductIndex, rank_all, top_k
+from semmatch.model import ModelConfig
 from semmatch.tokenizer import UNIGRAM, TokenizerConfig, build_vocabulary
 from semmatch.training import init_model
-
-# -- oracle: per-text encoding, full sort, Python walk, full-list metrics ------
-
-
-def oracle_embed(texts, side, model, vocab, config):
-    """Unit embeddings of texts encoded one at a time, pooled one bag at a time."""
-    out = embed_batch(encode_oracle.encode_batch(texts, side, vocab, config), side, model, 1)
-    norms = np.linalg.norm(out, axis=1)
-    return out / np.where(norms > 0.0, norms, 1.0)[:, None]
-
-
-def oracle_order(query_vec, index):
-    scores = index.matrix @ query_vec
-    return scores, np.lexsort((index._id_rank, -scores))
-
-
-def oracle_top_k(query_text, index, model, vocab, config, k, threshold=0.55):
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    qvec = oracle_embed([query_text], "query", model, vocab, config)[0]
-    scores, order = oracle_order(qvec, index)
-    items = []
-    for i in order:
-        if len(items) == k:
-            break
-        if scores[i] >= threshold:
-            items.append((index.ids[i], float(scores[i])))
-    return MatchResult(items=items)
-
-
-def oracle_matching_eval(queries, index, model, vocab, config, k=100):
-    report = MetricReport()
-    for q in queries:
-        relevant = set(q.purchased)
-        if not relevant:
-            report.skipped += 1
-            continue
-        qvec = oracle_embed([q.text], "query", model, vocab, config)[0]
-        _, order = oracle_order(qvec, index)
-        ranked = [index.ids[i] for i in order]
-        gains = {pid: 1.0 for pid in relevant}
-        report.add(
-            {
-                "recall": recall_at_k(ranked, relevant, k),
-                "map": average_precision(ranked, relevant, k),
-                "matching_ndcg": ndcg(ranked, gains),
-                "matching_mrr": mrr(ranked, relevant),
-            }
-        )
-    report.finalize()
-    return report
-
 
 # -- fixtures with heavy ties ----------------------------------------------------
 
@@ -176,6 +129,170 @@ class TestMatchingEval:
         queries = [EvalQuery("q0", "red shoe", {}, {"p1"})]
         with pytest.raises(ValueError, match="k must be >= 1"):
             run_matching_eval(queries, index, model, vocab, TC, k=k)
+
+
+def untied_index(seed, size, dim):
+    """Random unit rows, so no two scores tie or come close; ids shuffled as
+    in tied_index."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(size, dim))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    ids = [f"p{j}" for j in rng.permutation(size)]
+    return ProductIndex(ids=ids, matrix=matrix, fingerprint=b"\0" * 32)
+
+
+def many_queries(seed, index, count):
+    """`count` queries cycling through QUERIES, each buying 0 to 3 indexed
+    products (0 makes it skipped)."""
+    rng = np.random.default_rng(seed + 3)
+    queries = []
+    for n in range(count):
+        picks = rng.choice(len(index.ids), size=min(len(index.ids), n % 4), replace=False)
+        queries.append(EvalQuery(f"q{n}", QUERIES[n % len(QUERIES)], {index.ids[i]: 1 for i in picks}, set()))
+    return queries
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The purchased rows of each query the matching eval ranks from the
+    per-query scan's own scores."""
+    calls = []
+
+    def spy(scores, rows, tie_rank):
+        calls.append(rows.tolist())
+        return positions(scores, rows, tie_rank)
+
+    monkeypatch.setattr(evaluation, "positions", spy)
+    return calls
+
+
+def assert_same_report(got, want):
+    assert got.per_query == want.per_query
+    assert (got.evaluated, got.skipped) == (want.evaluated, want.skipped)
+    assert got.means == want.means
+
+
+class TestBlockedScoring:
+    """The matching eval scores its queries in blocks with one matrix product
+    each, and must give the per-query scan's ranks bit for bit."""
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 40),
+        k=st.integers(1, 45),
+        per_block=st.sampled_from([1, 2, 3, None]),  # queries per block; None: all
+        tied=st.booleans(),
+    )
+    @example(seed=0, size=17, k=1, per_block=None, tied=True)  # exact ties that only the id order breaks
+    def test_blocks_equal_oracle(self, model_vocab, seed, size, k, per_block, tied):
+        model, vocab = model_vocab
+        index = tied_index(seed, size, model, vocab) if tied else untied_index(seed, size, model.n)
+        queries = eval_queries(seed, index)
+        with mock.patch.object(evaluation, "_SCORE_BLOCK", (per_block or len(queries)) * max(1, size)):
+            got = run_matching_eval(queries, index, model, vocab, TC, k=k)
+        assert_same_report(got, oracle_matching_eval(queries, index, model, vocab, TC, k=k))
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("per_block", [7, None])  # 7 queries a block straddles the chunks
+    def test_chunks_of_20_equal_one_call(self, model_vocab, monkeypatch, tied, per_block):
+        model, vocab = model_vocab
+        size = 300
+        index = tied_index(8, size, model, vocab) if tied else untied_index(8, size, model.n)
+        queries = many_queries(8, index, 70)
+        if per_block:
+            monkeypatch.setattr(evaluation, "_SCORE_BLOCK", per_block * size)
+        whole = run_matching_eval(queries, index, model, vocab, TC, k=10)
+        chunks = [run_matching_eval(queries[i : i + 20], index, model, vocab, TC, k=10) for i in range(0, 70, 20)]
+        for name, values in whole.per_query.items():
+            assert [v for c in chunks for v in c.per_query[name]] == values
+        assert [sum(c.evaluated for c in chunks), sum(c.skipped for c in chunks)] == [whole.evaluated, whole.skipped]
+        assert_same_report(whole, oracle_matching_eval(queries, index, model, vocab, TC, k=10))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 8, 64, 256]),
+        n_queries=st.integers(1, 40),
+        size=st.integers(1, 60),
+    )
+    def test_block_and_scan_scores_within_twice_the_bound(self, seed, dim, n_queries, size):
+        """Unit or zero rows, and unit or zero queries scaled by powers of two
+        from where every product underflows to where the norms are large."""
+        rng = np.random.default_rng(seed)
+
+        def unit_or_zero(n):
+            x = rng.normal(size=(n, dim))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            x[rng.random(n) < 0.2] = 0.0
+            return x
+
+        matrix = unit_or_zero(size)
+        exponents = rng.choice([-1070, -1040, -1000, -540, -30, 0, 30, 500], size=(n_queries, 1))
+        qvecs = unit_or_zero(n_queries) * np.exp2(exponents)
+        index = ProductIndex(ids=[f"p{j}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
+        e = evaluation._dot_error(np.linalg.norm(qvecs, axis=1), index.max_row_norm, dim)
+        for qvec, scores, bound in zip(qvecs, qvecs @ matrix.T, e):
+            assert np.all(np.abs(scores - matrix @ qvec) <= 2 * bound)
+
+    def test_duplicate_of_a_purchase_takes_the_scan(self, model_vocab, fallbacks):
+        """A copy of one query's purchased row, under another id, ties with it:
+        that query alone is ranked from the scan; a generic index needs the
+        scan for no query."""
+        model, vocab = model_vocab
+        texts = [t for t in QUERIES if t]  # an empty query scores every product 0
+        index = untied_index(9, 50, model.n)
+        queries = [EvalQuery(f"q{n}", t, {index.ids[n]: 1, index.ids[10 + n]: 1}, set()) for n, t in enumerate(texts)]
+        got = run_matching_eval(queries, index, model, vocab, TC, k=5)
+        assert fallbacks == []
+        assert_same_report(got, oracle_matching_eval(queries, index, model, vocab, TC, k=5))
+        dup = ProductIndex(
+            ids=index.ids + ["copy"], matrix=np.vstack([index.matrix, index.matrix[13]]), fingerprint=b"\0" * 32
+        )
+        got = run_matching_eval(queries, dup, model, vocab, TC, k=5)
+        assert fallbacks == [[3, 13]]
+        assert_same_report(got, oracle_matching_eval(queries, dup, model, vocab, TC, k=5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rows_tied_in_exact_arithmetic(self, model_vocab, seed):
+        """A purchased row and a copy with two components swapped where the
+        query's are equal: the exact dots are equal, but the block and the
+        scan sum in other orders and often split them the opposite ways in
+        the last bit. The eval must give the scan's rank."""
+        model, vocab = model_vocab
+        rng = np.random.default_rng(seed)
+        dim = 64
+        q = rng.normal(size=dim)
+        q[1] = q[0]
+        qvecs = np.tile(q / np.linalg.norm(q), (4, 1))  # more than one row, so a matrix product
+        matrix = rng.normal(size=(8, dim))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        matrix[1] = matrix[0, [1, 0, *range(2, dim)]]
+        index = ProductIndex(ids=[f"p{j}" for j in rng.permutation(8)], matrix=matrix, fingerprint=b"\0" * 32)
+        queries = [EvalQuery(f"q{n}", "red", {index.ids[0]: 1}, set()) for n in range(4)]
+        with mock.patch.object(evaluation, "_embed_texts", lambda *args: qvecs):
+            got = run_matching_eval(queries, index, model, vocab, TC, k=5)
+        _, order = oracle_order(qvecs[0], index)
+        assert got.per_query["matching_mrr"] == [1 / (1 + order.tolist().index(0))] * 4
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_score_at_the_window_edge_takes_the_scan(self, model_vocab, monkeypatch, fallbacks, beyond):
+        """Another product's score exactly 4e from a purchased one's is close
+        enough for the scan to tie or reorder them; one step beyond is not."""
+        model, vocab = model_vocab
+        dim = model.n
+        qvec = np.zeros((1, dim))
+        qvec[0, 0] = 1.0  # every score below is exact in any kernel
+        window = 4 * evaluation._dot_error(np.array([1.0]), 1.0, dim)[0]
+        edge = np.nextafter(window, np.inf) if beyond else window
+        matrix = np.zeros((3, dim))
+        matrix[1, 0], matrix[2, 0] = edge, 1.0  # row 0 scores 0, the purchase
+        index = ProductIndex(ids=["a", "b", "c"], matrix=matrix, fingerprint=b"\0" * 32)
+        monkeypatch.setattr(evaluation, "_embed_texts", lambda *args: qvec)
+        got = run_matching_eval([EvalQuery("q0", "red", {"a": 1}, set())], index, model, vocab, TC, k=5)
+        assert fallbacks == ([] if beyond else [[0]])
+        assert got.per_query["matching_mrr"] == [1 / 3]
 
 
 def ranking_queries(seed, ids):
