@@ -8,6 +8,7 @@ import sys
 import numpy as np
 
 from . import evaluation, index as index_mod, sharding, synth, training
+from .atomic import atomic_write
 from .config import RunConfig, load_run_config
 from .model import EmbeddingModel, load_model, save_model
 from .tokenizer import Vocabulary, build_vocabulary, load_vocabulary, save_vocabulary
@@ -52,7 +53,7 @@ def _cmd_build_vocab(args: argparse.Namespace) -> int:
         _log(f"derived query_max_tokens = {vocab.derived_query_max}")
     if vocab.derived_product_max is not None:
         _log(f"derived product_max_tokens = {vocab.derived_product_max}")
-    with open(args.out, "w") as f:
+    with atomic_write(args.out, "w") as f:
         save_vocabulary(vocab, f)
     _log(f"vocabulary: V={vocab.v} B={vocab.oov_bins}")
     return 0
@@ -80,7 +81,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     history = training.train(records, model, cfg.loss, cfg.train)
     for epoch, loss in enumerate(history.epoch_loss):
         _log(f"epoch {epoch}: mean loss {loss:.6f}")
-    with open(args.out, "wb") as f:
+    with atomic_write(args.out) as f:
         save_model(model, f)
     _log(f"checkpoint written: {args.out}")
     return 0
@@ -109,7 +110,7 @@ def _cmd_embed_products(args: argparse.Namespace) -> int:
     with open(args.catalog) as f:
         catalog = synth.read_catalog(f)
     idx = index_mod.build_index(catalog, model, vocab, cfg.tokenizer)
-    with open(args.out, "wb") as f:
+    with atomic_write(args.out) as f:
         index_mod.save_index(idx, f)
     _log(f"indexed {len(idx.ids)} products")
     return 0
@@ -187,79 +188,63 @@ def _cmd_shard_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_INT = {"type": int}
+
+# Each command: its help, its handler, and (flag, add_argument keywords) per option.
+_COMMANDS = {
+    "gen-synthetic": ("generate a synthetic corpus", _cmd_gen_synthetic, [
+        ("--config", _REQUIRED), ("--out", _REQUIRED)]),
+    "build-vocab": ("build the token vocabulary from logs", _cmd_build_vocab, [
+        ("--input", _REQUIRED), ("--config", _REQUIRED), ("--out", _REQUIRED)]),
+    "preprocess": ("encode logs into a binary record file", _cmd_preprocess, [
+        ("--input", _REQUIRED), ("--vocab", _REQUIRED), ("--config", _REQUIRED),
+        ("--out", _REQUIRED)]),
+    "train": ("train the embedding model", _cmd_train, [
+        ("--records", _REQUIRED), ("--vocab", _REQUIRED), ("--config", _REQUIRED),
+        ("--out", _REQUIRED)]),
+    "embed-products": ("precompute the product index", _cmd_embed_products, [
+        ("--catalog", _REQUIRED), ("--model", _REQUIRED), ("--vocab", _REQUIRED),
+        ("--config", _REQUIRED), ("--out", _REQUIRED)]),
+    "query": ("retrieve top-k products for a query", _cmd_query, [
+        ("--text", _REQUIRED), ("--index", _REQUIRED), ("--model", _REQUIRED),
+        ("--vocab", _REQUIRED), ("--config", _REQUIRED), ("--k", _INT),
+        ("--threshold", {"type": float})]),
+    "evaluate": ("run matching/ranking evaluation", _cmd_evaluate, [
+        ("--task", {"choices": ["matching", "ranking", "both"], "required": True}),
+        ("--model", _REQUIRED), ("--vocab", _REQUIRED), ("--config", _REQUIRED),
+        ("--data", _REQUIRED), ("--k", _INT), ("--out", {})]),
+    "shard-check": ("verify the sharded cosine decomposition", _cmd_shard_check, [
+        ("--n", _INT | _REQUIRED), ("--dim", _INT | _REQUIRED),
+        ("--pairs", _INT | {"default": 1000}), ("--seed", _INT | {"default": 0})]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `semmatch` parser. When `command` names a command, only that
+    command's sub-parser is built, which is all main needs to run it; its
+    help and errors read as with every sub-parser built."""
     parser = argparse.ArgumentParser(
         prog="semmatch",
         description="Siamese bag-of-ngrams semantic product search pipeline",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_synthetic)
-
-    p = sub.add_parser("build-vocab", help="build the token vocabulary from logs")
-    p.add_argument("--input", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_vocab)
-
-    p = sub.add_parser("preprocess", help="encode logs into a binary record file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_preprocess)
-
-    p = sub.add_parser("train", help="train the embedding model")
-    p.add_argument("--records", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("embed-products", help="precompute the product index")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_embed_products)
-
-    p = sub.add_parser("query", help="retrieve top-k products for a query")
-    p.add_argument("--text", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("evaluate", help="run matching/ranking evaluation")
-    p.add_argument("--task", choices=["matching", "ranking", "both"], required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("shard-check", help="verify the sharded cosine decomposition")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_shard_check)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # With one sub-parser, the usage line must still list every command. A
+    # metavar would rename the argument in errors, so it is set only then.
+    one = {"metavar": "{%s}" % ",".join(_COMMANDS)} if len(names) == 1 else {}
+    sub = parser.add_subparsers(dest="command", required=True, **one)
+    for name in names:
+        help_text, handler, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:

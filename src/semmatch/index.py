@@ -113,9 +113,12 @@ def rank_all(
 
     Exact: the candidates are cut at the k-th score with a partial selection
     that keeps every product tied with it, and only the survivors are sorted.
+    A NaN threshold, which no score passes, raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     scores = index.matrix @ query_vec
     rows = np.flatnonzero(scores >= threshold)
     cand = scores[rows]

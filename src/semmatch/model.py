@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import mmap
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -370,6 +371,29 @@ def _read_array(f: BinaryIO, shape: tuple[int, ...], dtype: str = "<f8") -> np.n
     return a
 
 
+def _read_matrices(f: BinaryIO, count: int, shape: tuple[int, int]) -> list[np.ndarray]:
+    """The next `count` float64 matrices of f, leaving f after them.
+
+    A file with a descriptor is mapped copy-on-write rather than read: a
+    page is read when a row on it is first touched, and writes stay private
+    to the arrays. The arrays start wherever the matrices do in the file, so
+    they need not be 8-byte aligned. A stream without one (io.BytesIO) is
+    read into new arrays."""
+    try:
+        fd = f.fileno()
+    except io.UnsupportedOperation:
+        return [_read_array(f, shape) for _ in range(count)]
+    start = f.tell()
+    floats = shape[0] * shape[1]
+    end = start + 8 * floats * count
+    mapped = mmap.mmap(fd, end, access=mmap.ACCESS_COPY)
+    f.seek(end)
+    return [
+        np.frombuffer(mapped, "<f8", floats, start + 8 * floats * i).reshape(shape)
+        for i in range(count)
+    ]
+
+
 def _checkpoint_body(model: EmbeddingModel) -> list:
     """The checkpoint's bytes before its digest: magic, config header, the
     embedding matrix/matrices and the per-arm normalization state."""
@@ -409,12 +433,16 @@ def save_model(model: EmbeddingModel, f: BinaryIO) -> None:
 
 
 def load_model(f: BinaryIO) -> EmbeddingModel:
-    """Read a checkpoint written by save_model. A file shorter or longer than
-    its header implies raises ValueError.
+    """Read a checkpoint written by save_model, starting at f's position. A
+    file shorter or longer than its header implies raises ValueError.
 
-    The digest at the end of the file is kept as the model's
-    checkpoint_digest without being checked against the parameters: hashing
-    them costs more than a query."""
+    Once every size check has passed, the embedding matrices of a file are
+    mapped copy-on-write (see _read_matrices), so a query reads only the
+    rows it uses. Rewriting the file in place while the model is alive can
+    kill the process with SIGBUS; artifacts are replaced by rename instead.
+    The normalization state and the digest are read. The digest is kept as
+    the model's checkpoint_digest without being checked against the
+    parameters: hashing them costs more than a query."""
     magic = f.read(8)
     if magic != _CKPT_MAGIC:
         raise ValueError(f"not a version-{_CKPT_VERSION} model checkpoint (magic {magic!r})")
@@ -435,15 +463,15 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
         bn_momentum=momentum,
         bn_epsilon=epsilon,
     )
-    rows = v + bins + 1
-    size = 8 * (rows * n * (1 if shared else 2) + 8 * n) + _DIGEST_SIZE
+    rows, arms = v + bins + 1, 1 if shared else 2
+    size = 8 * (rows * n * arms + 8 * n) + _DIGEST_SIZE
     present = _bytes_left(f)
     if present < size:
         raise ValueError("truncated checkpoint")
     if present > size:
         raise ValueError("checkpoint size does not match its header")
-    qm = _read_array(f, (rows, n))
-    pm = qm if shared else _read_array(f, (rows, n))
+    matrices = _read_matrices(f, arms, (rows, n))
+    qm, pm = matrices[0], matrices[-1]  # one object for shared arms
     states = []
     for _ in range(2):
         vecs = [_read_array(f, (n,)) for _ in range(4)]

@@ -11,6 +11,7 @@ from typing import BinaryIO, Iterable
 import numpy as np
 
 from . import model as model_mod
+from .atomic import atomic_write
 from .losses import Label3, LossSpec, loss_batch, loss_grad_batch
 from .model import EmbeddingModel, ModelConfig, NormState, SparseRowGrad, forward_batch, backward_batch
 from .synth import LogRecord
@@ -35,7 +36,7 @@ def record_dtype(query_max: int, product_max: int) -> np.dtype:
 def write_records(
     path: str, query_max: int, product_max: int, records: np.ndarray
 ) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_REC_MAGIC)
         f.write(struct.pack(_HEADER_FMT, _REC_VERSION, query_max, product_max, len(records)))
         f.write(records.tobytes())

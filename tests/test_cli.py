@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semmatch.cli import main
+from semmatch import cli
+from semmatch.cli import build_parser, main
 from semmatch.config import RunConfig, load_run_config, parse_config_file
 from semmatch.index import load_index
 from semmatch.losses import LossSpec
-from semmatch.model import ModelConfig, load_model
+from semmatch.model import ModelConfig, load_model, model_fingerprint
 from semmatch.synth import SynthConfig
 from semmatch.tokenizer import TokenizerConfig
 from semmatch.training import TrainConfig
@@ -416,6 +417,112 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_nan_threshold_flag_exits_one(self, derived):
+        cfg, paths = derived
+        status, err = run_quiet(query_args(cfg, paths) + ["--threshold", "nan"])
+        assert (status, err) == (1, ["error: threshold must not be NaN"])
+
+    def test_nan_threshold_config_exits_one(self, derived, tmp_path):
+        _, paths = derived
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(DERIVED_CONFIG.replace("eval.threshold = -1.0", "eval.threshold = nan"))
+        status, err = run_quiet(query_args(cfg, paths))
+        assert (status, err) == (1, ["error: threshold must not be NaN"])
+
+
+# Each command's required options, with placeholder values.
+REQUIRED_ARGS = {
+    "gen-synthetic": ["--config", "c", "--out", "o"],
+    "build-vocab": ["--input", "i", "--config", "c", "--out", "o"],
+    "preprocess": ["--input", "i", "--vocab", "v", "--config", "c", "--out", "o"],
+    "train": ["--records", "r", "--vocab", "v", "--config", "c", "--out", "o"],
+    "embed-products": ["--catalog", "p", "--model", "m", "--vocab", "v", "--config", "c", "--out", "o"],
+    "query": ["--text", "t", "--index", "x", "--model", "m", "--vocab", "v", "--config", "c"],
+    "evaluate": ["--task", "both", "--model", "m", "--vocab", "v", "--config", "c", "--data", "d"],
+    "shard-check": ["--n", "2", "--dim", "4"],
+}
+
+
+def parse_outcome(parser, argv):
+    """Exit code, stdout and stderr of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    def test_commands_covered(self):
+        assert REQUIRED_ARGS.keys() == cli._COMMANDS.keys()
+
+    @pytest.mark.parametrize("name", list(REQUIRED_ARGS))
+    @pytest.mark.parametrize("case", ["help", "missing", "unknown flag", "bad value"])
+    def test_one_command_parser_reads_as_full(self, name, case):
+        argv = {
+            "help": [name, "--help"],
+            "missing": [name],
+            "unknown flag": [name, *REQUIRED_ARGS[name], "--no-such-flag"],
+            "bad value": [name, *REQUIRED_ARGS[name], REQUIRED_ARGS[name][-2]],
+        }[case]
+        one = parse_outcome(build_parser(name), argv)
+        assert one == parse_outcome(build_parser(), argv)
+        assert one[0] == (0 if case == "help" else 2)
+
+    def test_parses_as_full(self):
+        argv = ["shard-check", "--n", "2", "--dim", "4", "--pairs", "7"]
+        assert vars(build_parser("shard-check").parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+class TestArtifactReplacement:
+    def test_loaded_model_keeps_its_bits_after_train(self, derived, tmp_path):
+        cfg, paths = derived
+        model_path = tmp_path / "model.bin"
+        model_path.write_bytes(paths["model.bin"].read_bytes())
+        with open(model_path, "rb") as f:
+            loaded = load_model(f)
+        before = [loaded.query_matrix.tobytes(), loaded.product_matrix.tobytes()]
+        other_cfg = tmp_path / "seed4.cfg"
+        other_cfg.write_text(DERIVED_CONFIG.replace("seed = 3", "seed = 4"))
+        assert run(["train", "--records", paths["recs.bin"], "--vocab", paths["vocab.txt"],
+                    "--config", other_cfg, "--out", model_path]) == 0
+        assert model_path.read_bytes() != paths["model.bin"].read_bytes()
+        assert [loaded.query_matrix.tobytes(), loaded.product_matrix.tobytes()] == before
+        assert model_fingerprint(loaded) == loaded.checkpoint_digest
+        assert sorted(os.listdir(tmp_path)) == ["model.bin", "seed4.cfg"]
+
+    def test_failed_save_leaves_old_file(self, derived, tmp_path, monkeypatch):
+        cfg, paths = derived
+        out = tmp_path / "model.bin"
+        out.write_bytes(b"old checkpoint")
+
+        def save_then_fail(model, f):
+            f.write(b"part of a checkpoint")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_model", save_then_fail)
+        status, err = run_quiet(["train", "--records", paths["recs.bin"], "--vocab", paths["vocab.txt"],
+                                 "--config", cfg, "--out", out])
+        assert (status, err[-1:]) == (1, ["error: disk full"])
+        assert out.read_bytes() == b"old checkpoint"
+        assert os.listdir(tmp_path) == ["model.bin"]
+
+    @pytest.mark.parametrize("name", ["vocab.txt", "recs.bin", "index.bin"])
+    def test_other_artifacts_replaced(self, derived, tmp_path, name):
+        cfg, paths = derived
+        data = paths["data"]
+        out = tmp_path / name
+        out.write_bytes(b"stale")
+        args = {
+            "vocab.txt": ["build-vocab", "--input", data / "logs.tsv", "--config", cfg],
+            "recs.bin": ["preprocess", "--input", data / "logs.tsv", "--vocab", paths["vocab.txt"],
+                         "--config", cfg],
+            "index.bin": ["embed-products", "--catalog", data / "catalog.tsv", "--model", paths["model.bin"],
+                          "--vocab", paths["vocab.txt"], "--config", cfg],
+        }[name]
+        assert run_quiet(args + ["--out", out])[0] == 0
+        assert out.read_bytes() == paths[name].read_bytes()
+        assert os.listdir(tmp_path) == [name]
 
 
 ARTIFACTS = {"index.bin": load_index, "model.bin": load_model}

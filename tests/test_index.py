@@ -144,6 +144,13 @@ class TestRanking:
         with pytest.raises(ValueError):
             top_k("red", index, model, vocab, TC, k=0, threshold=0.55)
 
+    def test_nan_threshold_rejected(self, setup):
+        vocab, model, index = setup
+        with pytest.raises(ValueError, match="NaN"):
+            rank_all(np.zeros(model.n), index, 5, float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            top_k("red", index, model, vocab, TC, k=5, threshold=float("nan"))
+
     def test_exact_match_ranks_first(self, setup):
         vocab, model, index = setup
         res = top_k("blue coat warm", index, model, vocab, TC, k=1, threshold=-1.0)

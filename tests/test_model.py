@@ -1,6 +1,7 @@
 """Model forward/backward tests: pooling, normalization, cosine, gradients
 against finite differences, and checkpoint round-trips."""
 
+import hashlib
 import io
 import struct
 
@@ -370,3 +371,54 @@ class TestCheckpoint:
         with open(path, "rb") as f:
             loaded = load_model(f)
         assert model_fingerprint(loaded) == model_fingerprint(model)
+
+
+class TestMappedCheckpoint:
+    """A checkpoint file is mapped copy-on-write; a BytesIO is read."""
+
+    @staticmethod
+    def write(tmp_path, model, prefix=b""):
+        path = tmp_path / "model.bin"
+        path.write_bytes(prefix + serialize_model(model))
+        return path
+
+    @pytest.mark.parametrize("norm", ["none", "batch", "layer"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_file_load_equals_bytes_load(self, tmp_path, norm, shared):
+        model = make_model(v=12, bins=4, n=6, shared=shared, norm=norm, seed=3)
+        model.norm_product.running_var[:] = np.random.default_rng(6).uniform(0.5, 2.0, size=6)
+        path = self.write(tmp_path, model)
+        with open(path, "rb") as f:
+            mapped = load_model(f)
+            assert f.tell() == path.stat().st_size
+        read = load_model(io.BytesIO(path.read_bytes()))
+        assert serialize_model(mapped) == serialize_model(read) == path.read_bytes()
+        assert mapped.config == read.config
+        assert mapped.checkpoint_digest == read.checkpoint_digest
+        for arm in ("query", "product"):
+            assert mapped.matrix_for(arm).tobytes() == read.matrix_for(arm).tobytes()
+            assert mapped.matrix_for(arm).flags.writeable
+        assert (mapped.query_matrix is mapped.product_matrix) == shared
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_loads_after_a_prefix(self, tmp_path, shared):
+        model = make_model(shared=shared, norm="batch", seed=8)
+        path = self.write(tmp_path, model, prefix=b"12345")
+        with open(path, "rb") as f:
+            f.seek(5)
+            loaded = load_model(f)
+        assert serialize_model(loaded) == serialize_model(model)
+        assert model_fingerprint(loaded) == loaded.checkpoint_digest
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_writes_stay_private(self, tmp_path, shared):
+        path = self.write(tmp_path, make_model(shared=shared, norm="layer", seed=2))
+        before = hashlib.sha256(path.read_bytes()).digest()
+        with open(path, "rb") as f:
+            loaded = load_model(f)
+        loaded.query_matrix[:] = 1.5
+        loaded.product_matrix[1:] += 2.0
+        assert hashlib.sha256(path.read_bytes()).digest() == before
+        with open(path, "rb") as f:
+            again = load_model(f)
+        assert model_fingerprint(again) == again.checkpoint_digest != model_fingerprint(loaded)
