@@ -13,10 +13,17 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
+from .draws import Draws
+
 VALID_LABELS = ("purchased", "impressed")
 
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
+_BRANDS, _COLORS = 12, 8
+# Distinct tokens the generator can make: words of 2-3 consonant-vowel
+# syllables, and model numbers of two consonants and a number in [100, 1000).
+_WORD_SUPPLY = (len(_CONSONANTS) * len(_VOWELS)) ** 2 + (len(_CONSONANTS) * len(_VOWELS)) ** 3
+_MODEL_NUMBER_SUPPLY = len(_CONSONANTS) ** 2 * 900
 
 
 @dataclass(frozen=True)
@@ -107,27 +114,37 @@ class SynthConfig:
         for name in ("typo_rate", "morph_rate", "model_number_rate"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
+        words = self.concepts * self.synonyms_per_concept + 2 * self.phrase_pairs + _BRANDS + _COLORS
+        if words > _WORD_SUPPLY:
+            raise ValueError(
+                f"the config needs {words} distinct words; the generator makes at most {_WORD_SUPPLY}"
+            )
+        if self.model_number_rate > 0 and self.products > _MODEL_NUMBER_SUPPLY:
+            raise ValueError(
+                f"the config needs {self.products} distinct model numbers; "
+                f"the generator makes at most {_MODEL_NUMBER_SUPPLY}"
+            )
 
 
-def _make_word(rng: np.random.Generator, used: set[str]) -> str:
+def _make_word(draws: Draws, used: set[str]) -> str:
+    below = draws.below
     while True:
-        syllables = int(rng.integers(2, 4))
+        syllables = 2 + below(2)
         word = "".join(
-            _CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
-            + _VOWELS[int(rng.integers(len(_VOWELS)))]
-            for _ in range(syllables)
+            _CONSONANTS[below(len(_CONSONANTS))] + _VOWELS[below(len(_VOWELS))] for _ in range(syllables)
         )
         if word not in used:
             used.add(word)
             return word
 
 
-def _make_model_number(rng: np.random.Generator, used: set[str]) -> str:
+def _make_model_number(draws: Draws, used: set[str]) -> str:
+    below = draws.below
     while True:
         token = (
-            _CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
-            + _CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
-            + str(int(rng.integers(100, 1000)))
+            _CONSONANTS[below(len(_CONSONANTS))]
+            + _CONSONANTS[below(len(_CONSONANTS))]
+            + str(100 + below(900))
         )
         if token not in used:
             used.add(token)
@@ -178,41 +195,42 @@ def _match_sets(members: list[np.ndarray], chosen: tuple[int, ...]) -> tuple[np.
 def _generate(config: SynthConfig) -> SynthCorpus:
     rng = np.random.default_rng(config.seed)
     used: set[str] = set()
+    # The words and the catalog take their integers from blocks of raw words;
+    # the queries mix in 64-bit `random()` draws and call `rng` directly.
+    draws = Draws(rng)
+    below = draws.below
 
     # Concept surface forms. Phrase-pair concepts realize as two ordered
     # tokens; each mirrored pair shares its word set with reversed order,
     # so unigram bags cannot tell them apart.
     surfaces: list[list[str]] = []
     for _ in range(config.concepts):
-        surfaces.append([_make_word(rng, used) for _ in range(config.synonyms_per_concept)])
+        surfaces.append([_make_word(draws, used) for _ in range(config.synonyms_per_concept)])
     for _ in range(config.phrase_pairs):
-        w1, w2 = _make_word(rng, used), _make_word(rng, used)
+        w1, w2 = _make_word(draws, used), _make_word(draws, used)
         surfaces.append([f"{w1} {w2}"])
         surfaces.append([f"{w2} {w1}"])
     n_concepts = len(surfaces)
 
-    brands = [_make_word(rng, used) for _ in range(12)]
-    colors = [_make_word(rng, used) for _ in range(8)]
+    brands = [_make_word(draws, used) for _ in range(_BRANDS)]
+    colors = [_make_word(draws, used) for _ in range(_COLORS)]
 
     signatures: list[tuple[int, ...]] = []
     catalog: list[tuple[str, str]] = []
     by_concept: dict[int, list[int]] = {c: [] for c in range(n_concepts)}
+    k = min(config.concepts_per_product, n_concepts)
     for i in range(config.products):
-        k = min(config.concepts_per_product, n_concepts)
-        sig = tuple(sorted(rng.choice(n_concepts, size=k, replace=False).tolist()))
-        tokens: list[str] = []
-        for c in sig:
-            form = surfaces[c][int(rng.integers(len(surfaces[c])))]
-            tokens.extend(form.split())
-        tokens.append(brands[int(rng.integers(len(brands)))])
-        tokens.append(colors[int(rng.integers(len(colors)))])
+        sig = tuple(sorted(draws.sample(n_concepts, k)))
+        tokens = [surfaces[c][below(len(surfaces[c]))] for c in sig]
+        tokens.append(brands[below(_BRANDS)])
+        tokens.append(colors[below(_COLORS)])
         if config.model_number_rate > 0:
-            tokens.append(_make_model_number(rng, used))
-        pid = f"P{i:06d}"
+            tokens.append(_make_model_number(draws, used))
         signatures.append(sig)
-        catalog.append((pid, " ".join(tokens)))
+        catalog.append((f"P{i:06d}", " ".join(tokens)))
         for c in sig:
             by_concept[c].append(i)
+    draws.sync()
     members = [np.array(by_concept[c], dtype=np.int64) for c in range(n_concepts)]
 
     def make_query(qid: str, seen_texts: set[str]) -> tuple[str, str, int, np.ndarray, np.ndarray]:

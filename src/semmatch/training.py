@@ -12,6 +12,7 @@ import numpy as np
 
 from . import model as model_mod
 from .atomic import atomic_write
+from .draws import Draws
 from .losses import Label3, LossSpec, loss_batch, loss_grad_batch
 from .model import EmbeddingModel, ModelConfig, NormState, SparseRowGrad, forward_batch, backward_batch
 from .synth import LogRecord
@@ -117,6 +118,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        for name in ("impressed_per_purchase", "random_per_purchase"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -193,24 +197,27 @@ def sample_epoch(
     replacement; randoms substituted when the query has none) + 7 random
     products sampled outside the query's purchased/impressed sets.
 
-    Draws come in blocks, but in the order and number of one draw per pick
-    with rejection: `integers(h, size=k)` yields the values of k calls to
-    `integers(h)`, and only the shortfall left by rejected picks is drawn
-    again."""
+    Every pick takes its own `integers`-equivalent draw, with rejection for
+    random picks, read from blocks of the generator's raw words (`Draws`);
+    the generator is synced before the shuffle."""
     k_imp, k_rand = config.impressed_per_purchase, config.random_per_purchase
     per = 1 + k_imp + k_rand
     catalog = groups.catalog_rows
+    n_catalog = len(catalog)
     P, I, R = int(Label3.PURCHASED), int(Label3.IMPRESSED), int(Label3.RANDOM)
     with_impressed = [P] + [I] * k_imp + [R] * k_rand
     without_impressed = [P] + [R] * (k_imp + k_rand)
+    draws = Draws(rng)
+    below = draws.below
 
     def draw_randoms(excluded: set[int], count: int) -> list[int]:
-        accept_all = len(excluded) == len(catalog)
+        accept_all = len(excluded) == n_catalog
         picked: list[int] = []
         while len(picked) < count:
-            draws = rng.integers(len(catalog), size=count - len(picked)).tolist()
-            picked += draws if accept_all else [j for j in draws if j not in excluded]
-        return [catalog[j] for j in picked]
+            j = below(n_catalog)
+            if accept_all or j not in excluded:
+                picked.append(catalog[j])
+        return picked
 
     q_rows: list[int] = []
     p_rows: list[int] = []
@@ -220,13 +227,14 @@ def sample_epoch(
             q_rows += [pi] * per
             p_rows.append(pi)
             if impressed:
-                picks = rng.integers(len(impressed), size=k_imp).tolist()
-                p_rows += [impressed[i] for i in picks]
+                h = len(impressed)
+                p_rows += [impressed[below(h)] for _ in range(k_imp)]
                 labels += with_impressed
             else:
                 p_rows += draw_randoms(excluded, k_imp)
                 labels += without_impressed
             p_rows += draw_randoms(excluded, k_rand)
+    draws.sync()
 
     q_idx = np.asarray(q_rows, dtype=np.int64)
     p_idx = np.asarray(p_rows, dtype=np.int64)

@@ -288,6 +288,28 @@ class TestErrors:
         assert err == [f"error: {key} must be >= 0"]
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("synth.concepts = 310666\n", "the config needs 621352 distinct words; the generator makes at most 621350"),
+        ("synth.products = 260101\nsynth.model_number_rate = 0.5\n",
+         "the config needs 260101 distinct model numbers; the generator makes at most 260100"),
+    ])
+    def test_synth_over_token_supply_exits_one(self, tmp_path, lines, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG + lines)
+        status, err = run_quiet(["gen-synthetic", "--config", cfg, "--out", tmp_path / "d"])
+        assert (status, err) == (1, [f"error: {message}"])
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("key, value", [("impressed_per_purchase", -2), ("random_per_purchase", -1)])
+    def test_negative_per_purchase_count_exits_one(self, derived, tmp_path, key, value):
+        cfg, paths = derived
+        bad = tmp_path / "run.cfg"
+        bad.write_text(cfg.read_text() + f"train.{key} = {value}\n")
+        status, err = run_quiet(["train", "--records", paths["recs.bin"], "--vocab", paths["vocab.txt"],
+                                 "--config", bad, "--out", tmp_path / "model.bin"])
+        assert (status, err) == (1, [f"error: {key} must be >= 0"])
+        assert not (tmp_path / "model.bin").exists()
+
     def test_truncated_index_exits_one(self, workspace, capsys):
         tmp, cfg = workspace
         data, vocab, recs = tmp / "data", tmp / "vocab.txt", tmp / "recs.bin"

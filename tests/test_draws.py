@@ -1,0 +1,108 @@
+"""`Draws` against numpy's own per-call draws.
+
+One generator draws each value with its own `integers(h)` or
+`choice(n, size=k, replace=False)` call; a second serves the same calls
+from `Draws`. Values must agree, and after `sync()` both generators must
+continue alike: through `random()`, which takes a 64-bit word and keeps a
+buffered 32-bit half, through `integers(h, size=5)` and through
+`permutation(9)`, whose shuffle draws by a masked rejection of its own.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from semmatch.draws import Draws
+
+# (n, k) on both sides of numpy's switch from Floyd's sample to a shuffle
+# of the tail of range(n): n > 10000 and k > n // 50 takes the tail.
+SAMPLES = [
+    (1, 0), (1, 1), (7, 3), (406, 3), (10000, 9000), (10000, 10000),
+    (10001, 200), (10001, 201), (20000, 400), (20000, 401),
+    (50000, 1000), (50000, 1001), (10001, 10001),
+]
+
+bounds = st.one_of(
+    st.just(1),
+    st.integers(2, 20),
+    # 2**32 mod h is about 2**31 here, so about half the words are rejected.
+    st.integers(2**31 + 1, 2**31 + 2**16),
+    st.just(2**32),
+    st.integers(1, 2**32),
+)
+ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("below"), bounds),
+        st.tuples(st.just("sample"), st.sampled_from(SAMPLES)),
+        st.tuples(st.just("sync")),
+    ),
+    max_size=30,
+)
+
+
+def replay(seed, ops, offset):
+    """Both generators after `ops`, the first drawing per call, the second
+    from `Draws`. `offset` scalar draws first leave a half word buffered
+    when odd."""
+    want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (want, got):
+        rng.integers(5, size=offset)
+    draws = Draws(got)
+    for op in ops:
+        if op[0] == "below":
+            assert draws.below(op[1]) == int(want.integers(op[1]))
+        elif op[0] == "sample":
+            n, k = op[1]
+            assert draws.sample(n, k) == want.choice(n, size=k, replace=False).tolist()
+        else:
+            draws.sync()
+            assert got.random() == want.random()
+    draws.sync()
+    return want, got
+
+
+def assert_continue_alike(want, got):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random() == want.random()
+    assert got.integers(1000, size=5).tolist() == want.integers(1000, size=5).tolist()
+    assert got.permutation(9).tolist() == want.permutation(9).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ops=ops, offset=st.integers(0, 3))
+@example(seed=0, ops=[("below", 17)], offset=0)
+@example(seed=0, ops=[("below", 17), ("below", 5)], offset=0)
+@example(seed=1, ops=[("below", 2**31 + 7)] * 8 + [("below", 2**32), ("below", 1)], offset=1)
+@example(seed=2, ops=[("sample", (10001, 201)), ("sample", (50000, 1000)), ("sync",), ("below", 3)], offset=0)
+def test_equals_per_call_draws(seed, ops, offset):
+    assert_continue_alike(*replay(seed, ops, offset))
+
+
+@pytest.mark.parametrize("ops, buffered", [([("below", 17)], 1), ([("below", 17), ("below", 5)], 0)])
+def test_odd_and_even_word_counts(ops, buffered):
+    # An odd number of words leaves the upper half of a 64-bit word buffered.
+    want, got = replay(3, ops, offset=0)
+    assert want.bit_generator.state["has_uint32"] == buffered
+    assert_continue_alike(want, got)
+
+
+def test_bound_of_one_uses_no_word():
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    draws = Draws(rng)
+    assert [draws.below(1) for _ in range(5)] == [0] * 5
+    draws.sync()
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("h", [0, -1, 2**32 + 1])
+def test_bound_out_of_range_rejected(h):
+    with pytest.raises(ValueError):
+        Draws(np.random.default_rng(0)).below(h)
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (3, -1)])
+def test_sample_out_of_range_rejected(n, k):
+    with pytest.raises(ValueError):
+        Draws(np.random.default_rng(0)).sample(n, k)

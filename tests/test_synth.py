@@ -130,6 +130,22 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
             SynthConfig(**{**SMALL.__dict__, name: -3})
 
+    # Constructing the configs alone: a generator over its token supply
+    # would retry forever.
+    def test_word_supply_limit(self):
+        # Each concept synonym, each phrase-pair word and 12 brands and 8
+        # colours is a distinct word of 2-3 syllables: 85**2 + 85**3 of them.
+        SynthConfig(concepts=621_330 - 2 * 5, synonyms_per_concept=1, phrase_pairs=5)
+        with pytest.raises(ValueError, match="needs 621351 distinct words"):
+            SynthConfig(concepts=621_331 - 2 * 5, synonyms_per_concept=1, phrase_pairs=5)
+
+    def test_model_number_supply_limit(self):
+        # Two consonants and a number in [100, 1000): 17 * 17 * 900 tokens.
+        SynthConfig(products=260_100, model_number_rate=0.5)
+        SynthConfig(products=260_101, model_number_rate=0.0)
+        with pytest.raises(ValueError, match="needs 260101 distinct model numbers"):
+            SynthConfig(products=260_101, model_number_rate=0.5)
+
     def test_zero_eval_queries_and_phrase_pairs_allowed(self):
         c = _generate(SynthConfig(**{**SMALL.__dict__, "eval_queries": 0, "phrase_pairs": 0}))
         assert c.eval_logs == []

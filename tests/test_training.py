@@ -176,6 +176,14 @@ class TestSampleEpoch:
         np.testing.assert_array_equal(s1.query_ids, s2.query_ids)
         np.testing.assert_array_equal(s1.product_ids, s2.product_ids)
 
+    @pytest.mark.parametrize("name", ["impressed_per_purchase", "random_per_purchase"])
+    def test_negative_per_purchase_count_rejected(self, name):
+        # A negative count would draw no picks but still repeat the query
+        # row, leaving query and product rows of different lengths.
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            TrainConfig(**{name: -1})
+        TrainConfig(**{name: 0})
+
     def test_no_purchases_rejected(self, tmp_path):
         dt = record_dtype(4, 6)
         recs = np.zeros(2, dtype=dt)

@@ -6,9 +6,10 @@ writer that encodes each text on its own and fills the records row by row, a sam
 that regroups the records by bag bytes every epoch and draws every pick with
 its own `integers` call, scatter-adds with `np.add.at`, and an ADAM step
 with one formula for sparse rows and another for dense arrays. The library
-groups once per train call, draws in blocks, scatters with `np.bincount`
-and updates sparse and dense parameters with one formula; it encodes each
-side's texts in one batch and fills the records by column. Both must agree
+groups once per train call, reads its draws from blocks of raw words
+(`draws.Draws`), scatters with `np.bincount` and updates sparse and dense
+parameters with one formula; it encodes each side's texts in one batch and
+fills the records by column. Both must agree
 to the byte, and so must the checkpoints they train.
 """
 
@@ -258,7 +259,7 @@ def assert_epochs_equal(recs, cfg, seed, epochs=3):
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(epochs):
         same_sample(sample_epoch(groups, cfg, got_rng), oracle_sample_epoch(recs, cfg, want_rng))
-    # Block draws never run past the draws of the one-pick-at-a-time loop.
+    # The raw-word blocks are rewound to the words the per-pick loop uses.
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -328,6 +329,49 @@ class TestSampleEpochOracle:
         assert groups.excluded == [{0, 1, 2}]
         sample = sample_epoch(groups, cfg, np.random.default_rng(3))
         assert (sample.labels == R).sum() == 2 * 7
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_single_impressed_row_draws_nothing(self, shuffle):
+        # `integers(1)` returns 0 without a draw, so query [1]'s impressed
+        # picks take no words and only the random picks advance the stream.
+        recs = hand_records(
+            [
+                (P, [1], [2], 1.0),
+                (I, [1], [3], 2.5),
+                (P, [4], [5], 1.0),
+                (I, [4], [6], 1.0),
+                (I, [4], [7], 1.0),
+            ]
+        )
+        cfg = TrainConfig(batch_size=4, shuffle=shuffle)
+        assert_epochs_equal(recs, cfg, seed=5)
+        groups = group_records(recs)
+        assert groups.impressed[0] == [1]
+        sample = sample_epoch(groups, TrainConfig(batch_size=4, shuffle=False), np.random.default_rng(5))
+        assert sample.labels[:7].tolist() == [P] + [I] * 6
+        assert (sample.product_ids[1:7] == groups.product_bags[groups.product_code[1]]).all()
+        assert (sample.weights[1:7] == 2.5).all()
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_exclusion_leaving_one_bag_redraws(self, shuffle):
+        # Query [1] holds four of the five product bags, so each of its
+        # random picks is redrawn until it lands on bag [6].
+        recs = hand_records(
+            [
+                (P, [1], [2], 1.0),
+                (I, [1], [3], 1.0),
+                (I, [1], [4], 1.0),
+                (I, [1], [5], 1.0),
+                (P, [7], [6], 1.0),
+            ]
+        )
+        cfg = TrainConfig(batch_size=4, shuffle=shuffle)
+        assert_epochs_equal(recs, cfg, seed=9)
+        groups = group_records(recs)
+        assert groups.excluded[0] == {0, 1, 2, 3}
+        sample = sample_epoch(groups, TrainConfig(batch_size=4, shuffle=False), np.random.default_rng(9))
+        assert sample.labels[:14].tolist() == [P] + [I] * 6 + [R] * 7
+        assert (sample.product_ids[7:14] == groups.product_bags[4]).all()
 
     def test_duplicate_product_bags_share_one_catalog_entry(self):
         recs = hand_records(
