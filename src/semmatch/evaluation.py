@@ -47,11 +47,11 @@ def load_eval_queries(logs: Iterable[LogRecord]) -> list[EvalQuery]:
     return [by_query[t] for t in order]
 
 
-def positions(scores: np.ndarray, rows: np.ndarray, tie_rank: np.ndarray) -> np.ndarray:
-    """1-based positions of `rows` in the full (score desc, tie_rank asc) order
-    of `scores`, counted without sorting."""
+def positions(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1-based positions of `rows` in the full (score desc, row asc) order of
+    `scores`, counted without sorting."""
     s = scores[rows][:, None]
-    ahead = (scores > s) | ((scores == s) & (tie_rank < tie_rank[rows][:, None]))
+    ahead = (scores > s) | ((scores == s) & (np.arange(len(scores)) < rows[:, None]))
     return 1 + np.count_nonzero(ahead, axis=1)
 
 
@@ -146,7 +146,7 @@ def run_matching_eval(
             if np.count_nonzero(np.abs(scores - s) <= window) == len(rows):
                 ranks = 1 + np.count_nonzero(scores > s, axis=1)
             else:
-                ranks = positions(index.matrix @ qvec, rows, index._id_rank)
+                ranks = positions(index.matrix @ qvec, rows)
             ranks = sorted(ranks.tolist())
             hits = bisect.bisect_right(ranks, k)
             ap = 0.0  # precision at each hit within k, added in rank order
@@ -173,7 +173,8 @@ def run_ranking_eval(
 ) -> MetricReport:
     """Rank each query's purchased+impressed candidates by model score, ties
     by id; purchase counts are the gains. The queries and the distinct
-    candidates of the call are embedded once each."""
+    candidates of the call are embedded once each. A candidate missing from
+    `product_texts` raises ValueError naming it."""
     live = [q for q in queries if q.purchased and q.impressed]
     report = MetricReport(skipped=len(queries) - len(live))
     candidate_lists = [sorted(set(q.purchased) | q.impressed) for q in live]
@@ -182,11 +183,15 @@ def run_ranking_eval(
         for pid in candidates:
             row_of.setdefault(pid, len(row_of))
     qvecs = _embed_texts([q.text for q in live], "query", model, vocab, config)
-    products = _embed_texts([product_texts[pid] for pid in row_of], "product", model, vocab, config)
+    try:
+        texts = [product_texts[pid] for pid in row_of]
+    except KeyError as exc:
+        raise ValueError(f"eval-log product {exc.args[0]!r} is not in the catalog") from None
+    products = _embed_texts(texts, "product", model, vocab, config)
     for q, candidates, qvec in zip(live, candidate_lists, qvecs):
         scores = products[[row_of[pid] for pid in candidates]] @ qvec
         rows = np.array([i for i, pid in enumerate(candidates) if pid in q.purchased], dtype=np.intp)
-        ranked = sorted(zip(positions(scores, rows, np.arange(len(candidates))).tolist(), rows.tolist()))
+        ranked = sorted(zip(positions(scores, rows).tolist(), rows.tolist()))
         ranks = [rank for rank, _ in ranked]
         gains = [float(q.purchased[candidates[i]]) for _, i in ranked]
         report.add({"ranking_ndcg": _ndcg(ranks, gains, gains), "ranking_mrr": _mrr(ranks)})

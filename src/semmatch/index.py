@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 import struct
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import BinaryIO, Iterable
 
@@ -18,8 +19,8 @@ from .model import (
 )
 from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 
-_IDX_MAGIC = b"SMINDEX2"
-_IDX_VERSION = 2
+_IDX_MAGIC = b"SMINDEX3"
+_IDX_VERSION = 3
 _IDX_HEADER = struct.Struct("<IQIQ")  # version, count, n, id blob length
 _IDX_PREFIX = 8 + _IDX_HEADER.size + 32  # magic, header, model fingerprint
 _EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays near 2 MB
@@ -27,20 +28,20 @@ _EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays ne
 
 @dataclass
 class ProductIndex:
+    """Rows in ascending product-id order, so a row index breaks score ties
+    by id. Ids that are not strictly ascending raise ValueError naming the
+    first pair out of order."""
+
     ids: list[str]
     matrix: np.ndarray  # (count, N), unit rows or exact zero rows
     fingerprint: bytes  # 32-byte model digest
-    # Rank of each product id in ascending-id order, used for tie-breaks;
-    # computed from the ids when not given.
-    id_rank: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, id_rank: np.ndarray | None) -> None:
-        if id_rank is None:
-            n = len(self.ids)
-            order = sorted(range(n), key=self.ids.__getitem__)
-            id_rank = np.empty(n, dtype=np.int64)
-            id_rank[np.asarray(order, dtype=np.intp)] = np.arange(n)
-        self._id_rank = id_rank
+    def __post_init__(self) -> None:
+        if not all(map(operator.lt, self.ids, self.ids[1:])):
+            a, b = next((a, b) for a, b in zip(self.ids, self.ids[1:]) if a >= b)
+            if a == b:
+                raise ValueError(f"duplicate product id: {a!r}")
+            raise ValueError(f"product ids out of order: {a!r} before {b!r}")
 
     @cached_property
     def row_of(self) -> dict[str, int]:
@@ -82,20 +83,15 @@ def build_index(
     vocab: Vocabulary,
     config: TokenizerConfig,
 ) -> ProductIndex:
-    """Encode, embed, and unit-normalize every catalog product. A duplicate
-    product id, or one containing a newline, raises ValueError."""
-    ids: list[str] = []
-    texts: list[str] = []
-    seen: set[str] = set()
-    for pid, text in products:
-        if pid in seen:
-            raise ValueError(f"duplicate product id: {pid!r}")
+    """Encode, embed, and unit-normalize every catalog product, one row each in
+    ascending product-id order. A duplicate product id, or one containing a
+    newline, raises ValueError."""
+    catalog = sorted(products, key=operator.itemgetter(0))
+    ids = [pid for pid, _ in catalog]
+    for pid in ids:
         if "\n" in pid:
             raise ValueError(f"product id contains a newline: {pid!r}")
-        seen.add(pid)
-        ids.append(pid)
-        texts.append(text)
-    matrix = _embed_texts(texts, "product", model, vocab, config)
+    matrix = _embed_texts([text for _, text in catalog], "product", model, vocab, config)
     return ProductIndex(ids=ids, matrix=matrix, fingerprint=model_fingerprint(model))
 
 
@@ -126,7 +122,7 @@ def rank_all(
         kth = np.partition(cand, len(cand) - k)[len(cand) - k]
         keep = cand >= kth
         rows, cand = rows[keep], cand[keep]
-    head = rows[np.lexsort((index._id_rank[rows], -cand))[:k]]
+    head = rows[np.argsort(-cand, kind="stable")[:k]]  # rows ascend, so ties keep id order
     return scores, head
 
 
@@ -147,21 +143,19 @@ def top_k(
 
 
 def save_index(index: ProductIndex, f: BinaryIO) -> None:
-    """Write the header, the model fingerprint, the id ranks, the ids as one
-    newline-joined UTF-8 blob padded with newlines to a multiple of 8 bytes,
-    and the matrix."""
+    """Write the header, the model fingerprint, the ids as one newline-joined
+    UTF-8 blob padded with newlines to a multiple of 8 bytes, and the matrix."""
     count, n = index.matrix.shape
     blob = "\n".join(index.ids).encode("utf-8")
     f.write(_IDX_MAGIC + _IDX_HEADER.pack(_IDX_VERSION, count, n, len(blob)) + index.fingerprint)
-    f.write(np.ascontiguousarray(index._id_rank, dtype="<i8"))
     f.write(blob + b"\n" * (-len(blob) % 8))
     f.write(np.ascontiguousarray(index.matrix, dtype="<f8"))
 
 
 def load_index(f: BinaryIO) -> ProductIndex:
     """Read an index written by save_index. A short file, a trailing byte,
-    id ranks that are not a permutation, or ids that do not fill the blob
-    length and count in the header raise ValueError.
+    ids that do not fill the blob length and count in the header, or ids
+    that are not strictly ascending raise ValueError.
 
     A blob length off by less than its padding either moves a newline into
     or out of the ids, which changes their count, or leaves a byte that is
@@ -176,20 +170,15 @@ def load_index(f: BinaryIO) -> ProductIndex:
         raise ValueError(f"unsupported index version {version}")
     padded = blob_len + (-blob_len % 8)
     present = _bytes_left(f)
-    size = 8 * count + padded + 8 * count * n
+    size = padded + 8 * count * n
     if present < size:
         raise ValueError("truncated index")
     if present > size:
         raise ValueError("index size does not match its header")
-    id_rank = _read_array(f, (count,), "<i8")
-    if count and not (
-        id_rank.min() >= 0 and id_rank.max() < count and np.bincount(id_rank, minlength=count).all()
-    ):
-        raise ValueError("index id ranks are not a permutation")
     raw = f.read(padded)
     text = raw[:blob_len].decode("utf-8")
     ids = text.split("\n") if count or text else []  # "" holds one empty id, or none
     if len(ids) != count or raw[blob_len:] != b"\n" * (padded - blob_len):
         raise ValueError("index ids do not match its header")
     matrix = _read_array(f, (count, n))
-    return ProductIndex(ids=ids, matrix=matrix, fingerprint=head[-32:], id_rank=id_rank)
+    return ProductIndex(ids=ids, matrix=matrix, fingerprint=head[-32:])

@@ -168,8 +168,7 @@ def _typo(word: str, rng: np.random.Generator) -> str:
     return word
 
 
-def _morph(word: str, rng: np.random.Generator) -> str:
-    del rng
+def _morph(word: str) -> str:
     return word[:-1] if word.endswith("s") else word + "s"
 
 
@@ -244,7 +243,7 @@ def _generate(config: SynthConfig) -> SynthCorpus:
                 form = surfaces[c][int(rng.integers(len(surfaces[c])))]
                 for tok in form.split():
                     if rng.random() < config.morph_rate:
-                        tok = _morph(tok, rng)
+                        tok = _morph(tok)
                     if rng.random() < config.typo_rate:
                         tok = _typo(tok, rng)
                     tokens.append(tok)

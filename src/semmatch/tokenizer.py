@@ -128,11 +128,6 @@ def _class_tokens(text: str, config: TokenizerConfig) -> list[tuple[str, list[st
     return out
 
 
-def tokenize(text: str, config: TokenizerConfig) -> list[tuple[str, str]]:
-    """The combined bag: (class, token) pairs in canonical class order."""
-    return [(token_class, token) for token_class, tokens in _class_tokens(text, config) for token in tokens]
-
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1

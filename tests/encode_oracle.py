@@ -7,7 +7,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from semmatch.tokenizer import TokenizerConfig, Vocabulary, _class_tag, fnv1a64, tokenize
+from semmatch.tokenizer import TokenizerConfig, Vocabulary, _class_tag, _class_tokens, fnv1a64
+
+
+def tokenize(text: str, config: TokenizerConfig) -> list[tuple[str, str]]:
+    """The combined bag: (class, token) pairs in canonical class order."""
+    return [(token_class, token) for token_class, tokens in _class_tokens(text, config) for token in tokens]
 
 
 def hash_oov(token_class: str, token: str, bins: int, v: int) -> int:

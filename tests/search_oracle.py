@@ -20,8 +20,12 @@ def oracle_embed(texts, side, model, vocab, config):
 
 
 def oracle_order(query_vec, index):
+    """Scores and every row in (score desc, id asc) order, the ids ranked by
+    sorting them here rather than taken to ascend with the rows."""
     scores = index.matrix @ query_vec
-    return scores, np.lexsort((index._id_rank, -scores))
+    id_rank = np.empty(len(index.ids), dtype=np.int64)
+    id_rank[sorted(range(len(index.ids)), key=index.ids.__getitem__)] = np.arange(len(index.ids))
+    return scores, np.lexsort((id_rank, -scores))
 
 
 def oracle_top_k(query_text, index, model, vocab, config, k, threshold=0.55):

@@ -435,6 +435,18 @@ class TestErrors:
                                  "--k", 0])
         assert (status, err) == (1, ["error: k must be >= 1"])
 
+    @pytest.mark.parametrize("task", ["ranking", "both"])
+    def test_eval_product_missing_from_catalog_exits_one(self, derived, tmp_path, task):
+        cfg, paths = derived
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "eval_logs.tsv").write_bytes((paths["data"] / "eval_logs.tsv").read_bytes())
+        rows = (paths["data"] / "catalog.tsv").read_text().splitlines(keepends=True)
+        (data / "catalog.tsv").write_text("".join(r for r in rows if not r.startswith("P000100\t")))
+        status, err = run_quiet(["evaluate", "--task", task, "--model", paths["model.bin"],
+                                 "--vocab", paths["vocab.txt"], "--config", cfg, "--data", data])
+        assert (status, err) == (1, ["error: eval-log product 'P000100' is not in the catalog"])
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -554,23 +566,24 @@ FIELD_BITS = 32 * 8  # both files: magic, version, then count, n and blob length
 
 def index_blob_end(blob):
     """Where the index's id blob and its padding end: the matrix starts there."""
-    count, _, blob_len = struct.unpack_from("<QIQ", blob, 12)
-    return 64 + 8 * count + blob_len + (-blob_len % 8)
+    blob_len = struct.unpack_from("<Q", blob, 24)[0]
+    return 64 + blob_len + (-blob_len % 8)
 
 
 class TestCorruptArtifacts:
     """A damaged index.bin or model.bin is rejected with ValueError by its
     loader, and with one `error:` line and exit 1 by `semmatch query`: a file
-    cut short inside the index's header, id ranks or id blob, or anywhere in
-    a checkpoint; a bit flipped in a magic, version, count, size or
-    blob-length field; id ranks that are not a permutation; a version-1
-    magic. tests/test_index.py and tests/test_model.py try every cut and
-    every header bit on the loaders alone.
+    cut short inside the index's header or id blob, or anywhere in a
+    checkpoint; a bit flipped in a magic, version, count, size or
+    blob-length field; index ids swapped or repeated, so that they no longer
+    ascend strictly; an older magic. tests/test_index.py and
+    tests/test_model.py try every cut and every header bit on the loaders
+    alone.
 
     Not detected: a bit flip inside the float payload (the index matrix, the
     embeddings and normalization state), in the checkpoint's normalization
-    code, momentum or epsilon, or one that leaves the id ranks a
-    permutation. Finding those needs the payload hashed, which costs more
+    code, momentum or epsilon, or one in an id that keeps the ids strictly
+    ascending. Finding those needs the payload hashed, which costs more
     than a query. A flip in the index's stored fingerprint or the
     checkpoint's digest loads, and `query` rejects the pair as a mismatch.
     """
@@ -605,15 +618,22 @@ class TestCorruptArtifacts:
 
     @CORRUPTION
     @given(data=st.data())
-    def test_rank_not_a_permutation(self, derived, data):
-        blob = bytearray(derived[1]["index.bin"].read_bytes())
-        count = struct.unpack_from("<Q", blob, 12)[0]
-        at = 64 + 8 * data.draw(st.integers(0, count - 1))  # the ranks follow the fingerprint
-        old = struct.unpack_from("<q", blob, at)[0]
-        new = data.draw(st.integers(-2, count + 1).filter(lambda v: v != old))
-        struct.pack_into("<q", blob, at, new)
-        self.assert_rejected(derived, "index.bin", bytes(blob))
+    def test_ids_swapped_or_repeated(self, derived, data):
+        """Two ids swapped, or one written over another of the same length
+        (every id of the test catalog has one length), keep the blob length
+        and the id count: only the strict order rejects them."""
+        blob = derived[1]["index.bin"].read_bytes()
+        blob_len = struct.unpack_from("<Q", blob, 24)[0]
+        ids = blob[64 : 64 + blob_len].split(b"\n")
+        i, j = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=2, max_size=2, unique=True))
+        if data.draw(st.booleans()):
+            ids[i], ids[j] = ids[j], ids[i]
+        else:
+            ids[i] = ids[j]
+        self.assert_rejected(derived, "index.bin", blob[:64] + b"\n".join(ids) + blob[64 + blob_len :])
 
-    @pytest.mark.parametrize("name,magic", [("index.bin", b"SMINDEX1"), ("model.bin", b"SMMODEL1")])
+    @pytest.mark.parametrize(
+        "name,magic", [("index.bin", b"SMINDEX1"), ("index.bin", b"SMINDEX2"), ("model.bin", b"SMMODEL1")]
+    )
     def test_version_1_magic(self, derived, name, magic):
         self.assert_rejected(derived, name, magic + derived[1][name].read_bytes()[8:])

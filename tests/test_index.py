@@ -8,6 +8,7 @@ import pytest
 
 from semmatch import index as index_mod
 from semmatch.index import (
+    ProductIndex,
     _embed_texts,
     build_index,
     embed_query,
@@ -53,8 +54,24 @@ class TestBuildIndex:
 
     def test_duplicate_id_rejected(self, setup):
         vocab, model, _ = setup
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate product id: 'P1'"):
             build_index(CATALOG + [("P1", "again")], model, vocab, TC)
+
+    def test_shuffled_catalog_saves_sorted_bytes(self, setup):
+        """Rows follow the product ids, whatever order the catalog lists them in."""
+        vocab, model, index = setup
+        shuffled = [CATALOG[i] for i in (3, 0, 4, 2, 1)]
+        got, want = io.BytesIO(), io.BytesIO()
+        save_index(build_index(shuffled, model, vocab, TC), got)
+        save_index(index, want)
+        assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize(
+        "ids", [["b", "a"], ["a", "a"], ["a", "c", "b"], ["", ""]], ids=["swapped", "repeated", "late", "empty-twice"]
+    )
+    def test_ids_not_strictly_ascending_rejected(self, ids):
+        with pytest.raises(ValueError, match="duplicate product id|out of order"):
+            ProductIndex(ids=ids, matrix=np.zeros((len(ids), 2)), fingerprint=b"\0" * 32)
 
     def test_newline_id_rejected(self, setup):
         vocab, model, _ = setup
@@ -114,6 +131,20 @@ class TestRanking:
         # A zero query vector ties every product at score 0.
         scores, order = rank_all(np.zeros(model.n), index, len(index.ids))
         assert [index.ids[i] for i in order] == sorted(index.ids)
+
+    def test_top_k_tied_rows_ids_ascending(self, setup):
+        """Empty texts embed as zero rows, which tie at score 0 exactly under
+        any query; top_k lists tied products by id, not in catalog order."""
+        vocab, model, _ = setup
+        catalog = [("P9", ""), ("P0", "red shoe"), ("P5", ""), ("P7", "blue coat warm"), ("P2", "")]
+        index = build_index(catalog, model, vocab, TC)
+        assert index.ids == ["P0", "P2", "P5", "P7", "P9"]
+        every_zero = top_k("", index, model, vocab, TC, k=5, threshold=-1.0)
+        assert every_zero.items == [(pid, 0.0) for pid in index.ids]
+        for text in ("red shoe", "blue coat"):
+            items = top_k(text, index, model, vocab, TC, k=5, threshold=-1.0).items
+            assert [pid for pid, score in items if score == 0.0] == ["P2", "P5", "P9"]
+            assert items == sorted(items, key=lambda item: (-item[1], item[0]))
 
     def test_top_k_threshold_filters(self, setup):
         vocab, model, index = setup
@@ -191,9 +222,8 @@ class TestIndexFile:
         ids = "\n".join(pid for pid, _ in catalog).encode("utf-8")
         assert struct.unpack_from("<Q", blob, 24)[0] == len(ids)  # the blob-length field
         loaded = load_index(io.BytesIO(blob))
-        assert loaded.ids == index.ids == [pid for pid, _ in catalog]
+        assert loaded.ids == index.ids == sorted(pid for pid, _ in catalog)
         assert loaded.matrix.tobytes() == index.matrix.tobytes()
-        assert loaded._id_rank.tobytes() == index._id_rank.tobytes()
         again = io.BytesIO()
         save_index(loaded, again)
         assert again.getvalue() == blob
@@ -205,9 +235,8 @@ class TestIndexFile:
             save_index(index, f)
         with open(path, "rb") as f:
             loaded = load_index(f)
-        for a in (loaded.matrix, loaded._id_rank):
-            assert a.flags.owndata and a.flags.writeable
-        assert loaded._id_rank.tobytes() == index._id_rank.tobytes()
+        assert loaded.matrix.flags.owndata and loaded.matrix.flags.writeable
+        assert loaded.matrix.tobytes() == index.matrix.tobytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):

@@ -46,15 +46,14 @@ def model_vocab():
 def tied_index(seed, size, model, vocab):
     """Rows drawn with replacement from a small pool: the catalog texts'
     embeddings (one is a zero row), a coarse grid and exact zeros, so scores
-    tie often. Ids are shuffled so id order and row order differ."""
+    tie often. Ids ascend with the rows, as ProductIndex requires."""
     rng = np.random.default_rng(seed)
     grid = rng.integers(-1, 2, size=(4, model.n)).astype(np.float64)
     norms = np.linalg.norm(grid, axis=1, keepdims=True)
     grid = np.divide(grid, norms, out=np.zeros_like(grid), where=norms > 0)
     pool = np.vstack([oracle_embed(TEXTS, "product", model, vocab, TC), grid, np.zeros((1, model.n))])
     matrix = pool[rng.integers(0, len(pool), size=size)]
-    ids = [f"p{j}" for j in rng.permutation(size)]
-    return ProductIndex(ids=ids, matrix=matrix, fingerprint=b"\0" * 32)
+    return ProductIndex(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
 
 
 def eval_queries(seed, index):
@@ -104,7 +103,7 @@ class TestHeadSelection:
             rank_of = np.empty(size, dtype=np.int64)
             rank_of[order] = np.arange(1, size + 1)
             rows = np.arange(size)
-            assert positions(scores, rows, index._id_rank).tolist() == rank_of.tolist()
+            assert positions(scores, rows).tolist() == rank_of.tolist()
 
 
 class TestMatchingEval:
@@ -132,13 +131,12 @@ class TestMatchingEval:
 
 
 def untied_index(seed, size, dim):
-    """Random unit rows, so no two scores tie or come close; ids shuffled as
-    in tied_index."""
+    """Random unit rows, so no two scores tie or come close; ids as in
+    tied_index."""
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(size, dim))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    ids = [f"p{j}" for j in rng.permutation(size)]
-    return ProductIndex(ids=ids, matrix=matrix, fingerprint=b"\0" * 32)
+    return ProductIndex(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
 
 
 def many_queries(seed, index, count):
@@ -158,9 +156,9 @@ def fallbacks(monkeypatch):
     per-query scan's own scores."""
     calls = []
 
-    def spy(scores, rows, tie_rank):
+    def spy(scores, rows):
         calls.append(rows.tolist())
-        return positions(scores, rows, tie_rank)
+        return positions(scores, rows)
 
     monkeypatch.setattr(evaluation, "positions", spy)
     return calls
@@ -230,7 +228,7 @@ class TestBlockedScoring:
         matrix = unit_or_zero(size)
         exponents = rng.choice([-1070, -1040, -1000, -540, -30, 0, 30, 500], size=(n_queries, 1))
         qvecs = unit_or_zero(n_queries) * np.exp2(exponents)
-        index = ProductIndex(ids=[f"p{j}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
+        index = ProductIndex(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
         e = evaluation._dot_error(np.linalg.norm(qvecs, axis=1), index.max_row_norm, dim)
         for qvec, scores, bound in zip(qvecs, qvecs @ matrix.T, e):
             assert np.all(np.abs(scores - matrix @ qvec) <= 2 * bound)
@@ -247,7 +245,7 @@ class TestBlockedScoring:
         assert fallbacks == []
         assert_same_report(got, oracle_matching_eval(queries, index, model, vocab, TC, k=5))
         dup = ProductIndex(
-            ids=index.ids + ["copy"], matrix=np.vstack([index.matrix, index.matrix[13]]), fingerprint=b"\0" * 32
+            ids=index.ids + ["p050"], matrix=np.vstack([index.matrix, index.matrix[13]]), fingerprint=b"\0" * 32
         )
         got = run_matching_eval(queries, dup, model, vocab, TC, k=5)
         assert fallbacks == [[3, 13]]
@@ -269,7 +267,7 @@ class TestBlockedScoring:
         matrix = rng.normal(size=(8, dim))
         matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
         matrix[1] = matrix[0, [1, 0, *range(2, dim)]]
-        index = ProductIndex(ids=[f"p{j}" for j in rng.permutation(8)], matrix=matrix, fingerprint=b"\0" * 32)
+        index = ProductIndex(ids=[f"p{j}" for j in range(8)], matrix=matrix, fingerprint=b"\0" * 32)
         queries = [EvalQuery(f"q{n}", "red", {index.ids[0]: 1}, set()) for n in range(4)]
         with mock.patch.object(evaluation, "_embed_texts", lambda *args: qvecs):
             got = run_matching_eval(queries, index, model, vocab, TC, k=5)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import encode_oracle
 import vocabulary_oracle
-from encode_oracle import hash_oov
+from encode_oracle import hash_oov, tokenize
 from semmatch import tokenizer
 from semmatch.tokenizer import (
     CHAR_TRIGRAM,
@@ -26,7 +26,6 @@ from semmatch.tokenizer import (
     load_vocabulary,
     ngram_class,
     save_vocabulary,
-    tokenize,
     word_ngrams,
 )
 

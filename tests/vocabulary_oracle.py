@@ -7,7 +7,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from semmatch.tokenizer import TokenizerConfig, Vocabulary, _nearest_rank_percentile, tokenize
+from encode_oracle import tokenize
+from semmatch.tokenizer import TokenizerConfig, Vocabulary, _nearest_rank_percentile
 
 
 def build_vocabulary(corpus: Iterable[tuple[str, str]], config: TokenizerConfig) -> Vocabulary:
