@@ -9,7 +9,10 @@ followed by a shuffle (Bentley & Floyd, *A Sample of Brilliance*, CACM
 1987), or a partial shuffle of the whole range for large samples of large
 ranges. `Draws` reads the words one block at a time and returns the same
 values without a numpy call per value; `sync()` then leaves the generator
-exactly where the per-call draws would have left it.
+exactly where the per-call draws would have left it. `below_many` serves a
+whole array of `below` picks at once, each drawn again while it lands in an
+excluded set: it computes every pick's Lemire step from its own word and
+accepts the run before the first rejection.
 """
 
 from __future__ import annotations
@@ -30,17 +33,22 @@ class Draws:
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
         self._start: dict | None = None
+        self._block = np.empty(0, dtype=np.uint32)
         self._words: list[int] = []
         self._pos = 0
         self._drawn = 0
 
+    def _refill(self) -> None:
+        if not self._drawn:
+            self._start = self._rng.bit_generator.state
+        self._block = self._rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32)
+        self._words = self._block.tolist()
+        self._pos = 0
+        self._drawn += _BLOCK
+
     def _word(self) -> int:
         if self._pos == len(self._words):
-            if not self._drawn:
-                self._start = self._rng.bit_generator.state
-            self._words = self._rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32).tolist()
-            self._pos = 0
-            self._drawn += _BLOCK
+            self._refill()
         self._pos += 1
         return self._words[self._pos - 1]
 
@@ -57,6 +65,98 @@ class Draws:
             while m & _LOW < threshold:
                 m = self._word() * h
         return m >> 32
+
+    def below_many(
+        self,
+        bounds: np.ndarray,
+        offsets: np.ndarray | None = None,
+        excluded: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The int64 values of `below(h)` for each h in `bounds`, where pick i
+        with offsets[i] >= 0 and h > 1 is drawn again while offsets[i] + its
+        value is in the sorted array `excluded`: the same values, from the
+        same words, as the per-pick loop
+
+            for i, h in enumerate(bounds):
+                v = below(h)
+                while h > 1 and offsets[i] >= 0 and offsets[i] + v in excluded:
+                    v = below(h)
+
+        A pass computes a chunk of picks at once, each pick with h > 1 from
+        its own word, and accepts the run before the first pick that fails,
+        by Lemire's rejection or by exclusion. The failed pick spends its
+        word, the picks after it give theirs back, and the next pass starts
+        at it. Chunks start at 4096 picks and shrink after a failure to about
+        twice the run it ended. A pick that fails again as the first of its
+        pass is served, with the picks alike to it that follow (same bound
+        and offset), from the next words in one step: each word is tested
+        against their common bound and offset, and the words that pass go
+        to them in order. So frequent failures recompute neither long chunks
+        nor one chunk per failure."""
+        h = np.asarray(bounds, dtype=np.int64)
+        if h.size and not (1 <= h.min() and h.max() <= _WORD):
+            raise ValueError(f"a bound is outside [1, 2**32]: {h.min()}..{h.max()}")
+        n = h.size
+        offsets = np.full(n, -1, dtype=np.int64) if offsets is None else np.asarray(offsets, dtype=np.int64)
+        excluded = np.empty(0, dtype=np.int64) if excluded is None else np.asarray(excluded, dtype=np.int64)
+        h = h.astype(np.uint64)
+        takes = h > 1
+        threshold = np.uint64(_WORD) % h
+        # words_before[i]: words the picks before i take when none fails.
+        words_before = np.concatenate(([0], np.cumsum(takes)))
+        # Picks alike to the one before them start no new run.
+        run_ends = np.append(np.flatnonzero((h[1:] != h[:-1]) | (offsets[1:] != offsets[:-1])) + 1, n)
+
+        def failing(words, bound, threshold, offset) -> tuple[np.ndarray, np.ndarray]:
+            """Values of `bound` from `words`, and which of them fail."""
+            m = words.astype(np.uint64) * bound
+            values = (m >> 32).astype(np.int64)
+            keys = offset + values
+            at = np.minimum(np.searchsorted(excluded, keys), excluded.size - 1)
+            hit = (offset >= 0) & (excluded[at] == keys) if excluded.size else False
+            return values, (m & _LOW < threshold) | hit
+
+        out = np.empty(n, dtype=np.int64)
+        start, size, alike_end = 0, _BLOCK, 0
+        while start < n:
+            if self._pos == len(self._words) and takes[start]:
+                self._refill()
+            first, left = self._pos, len(self._words) - self._pos
+            if start < alike_end:
+                # Serve the picks alike to the one that failed: each takes
+                # the next word that passes their common test.
+                count = alike_end - start
+                take = min(left, 64 * count)
+                values, failed = failing(
+                    self._block[first : first + take], h[start], threshold[start], offsets[start]
+                )
+                passed = np.flatnonzero(~failed)[:count]
+                out[start : start + passed.size] = values[passed]
+                self._pos += int(passed[-1]) + 1 if passed.size == count else take
+                start += passed.size
+                continue
+            end = min(
+                start + size,
+                int(np.searchsorted(words_before, words_before[start] + left, side="right")) - 1,
+            )
+            picks = slice(start, end)
+            word = takes[picks]
+            self._pos += int(words_before[end] - words_before[start])
+            values = np.zeros(end - start, dtype=np.int64)
+            failed = np.zeros(end - start, dtype=bool)
+            values[word], failed[word] = failing(
+                self._block[first : self._pos], h[picks][word], threshold[picks][word], offsets[picks][word]
+            )
+            fail = int(failed.argmax()) if failed.any() else end - start
+            out[start : start + fail] = values[:fail]
+            if fail == end - start:
+                start, size = end, min(2 * size, _BLOCK)
+                continue
+            self._pos = first + int(words_before[start + fail + 1] - words_before[start])
+            if fail == 0:  # the first pick of a pass failed, as after a restart
+                alike_end = int(run_ends[np.searchsorted(run_ends, start, side="right")])
+            start, size = start + fail, max(16, 2 * fail)
+        return out
 
     def sample(self, n: int, k: int) -> list[int]:
         """`rng.choice(n, size=k, replace=False).tolist()`, for 0 <= k <= n."""

@@ -301,13 +301,23 @@ def _cosine_backward(cache: ForwardCache, dscores: np.ndarray) -> tuple[np.ndarr
     return da, db
 
 
+def _rows_and_slots(touched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending nonzero positions of `touched`, a lookup from each such
+    position to its place among them); other lookup entries are unset."""
+    rows = np.flatnonzero(touched)
+    slot = np.empty(touched.size, dtype=np.int64)
+    slot[rows] = np.arange(rows.size)
+    return rows, slot
+
+
 def _pool_backward(
     ids: np.ndarray, counts: np.ndarray, dpooled: np.ndarray
 ) -> SparseRowGrad:
     """Scatter each bag's pooled gradient onto its non-padding ids.
 
-    np.bincount sums every cell from 0.0 in input order, as np.add.at would,
-    so the result is the same to the bit."""
+    The touched rows come from a count of each id, not a sort. np.bincount
+    sums every cell from 0.0 in input order, as np.add.at would, so the
+    result is the same to the bit."""
     n = dpooled.shape[1]
     per_token = dpooled / np.maximum(counts, 1)[:, None]
     bag, slot = np.nonzero(ids)
@@ -315,18 +325,23 @@ def _pool_backward(
         return SparseRowGrad(
             rows=np.empty(0, dtype=np.int64), values=np.empty((0, n), dtype=np.float64)
         )
-    rows, inverse = np.unique(ids[bag, slot], return_inverse=True)
-    cells = (inverse[:, None] * n + np.arange(n)).ravel()
+    tok = ids[bag, slot]
+    rows, row_slot = _rows_and_slots(np.bincount(tok))
+    cells = (row_slot[tok][:, None] * n + np.arange(n)).ravel()
     values = np.bincount(cells, weights=per_token[bag].ravel(), minlength=rows.size * n)
-    return SparseRowGrad(rows=rows.astype(np.int64), values=values.reshape(rows.size, n))
+    return SparseRowGrad(rows=rows, values=values.reshape(rows.size, n))
 
 
 def _merge_sparse(a: SparseRowGrad, b: SparseRowGrad) -> SparseRowGrad:
-    """Row-wise sum of two gradients, each with unique sorted rows."""
-    rows = np.union1d(a.rows, b.rows)
+    """Row-wise sum of two gradients, each with unique sorted rows: `a` and
+    then `b` are added onto zeros."""
+    touched = np.zeros(max(a.rows.max(initial=0), b.rows.max(initial=0)) + 1, dtype=bool)
+    touched[a.rows] = True
+    touched[b.rows] = True
+    rows, row_slot = _rows_and_slots(touched)
     values = np.zeros((rows.size, a.values.shape[1]), dtype=np.float64)
-    values[np.searchsorted(rows, a.rows)] += a.values
-    values[np.searchsorted(rows, b.rows)] += b.values
+    values[row_slot[a.rows]] += a.values
+    values[row_slot[b.rows]] += b.values
     return SparseRowGrad(rows=rows, values=values)
 
 

@@ -137,18 +137,23 @@ class RecordGroups:
 
     Bags are coded in order of first appearance, so product code j is also
     the catalog index random negatives are drawn from. Only query groups
-    with a purchase are kept, in order of first appearance; their rows keep
-    record order."""
+    with a purchase are kept, numbered in order of first appearance; each
+    group's rows keep record order. Group g's excluded product codes c are
+    held as the keys g * len(catalog_rows) + c."""
 
     query_bags: np.ndarray  # (distinct query bags, Lq) int64
     product_bags: np.ndarray  # (distinct product bags, Lp) int64
     query_code: np.ndarray  # (R,) record row -> query bag
     product_code: np.ndarray  # (R,) record row -> product bag
     weights: np.ndarray  # (R,) float64
-    catalog_rows: list[int]  # first record row of each product bag
-    purchased: list[list[int]]  # per group: purchased record rows
-    impressed: list[list[int]]  # per group: every other record row
-    excluded: list[set[int]]  # per group: product codes of all its rows
+    catalog_rows: np.ndarray  # first record row of each product bag
+    purchased: np.ndarray  # purchased record rows, group by group
+    purchase_group: np.ndarray  # group of each purchased row
+    impressed: np.ndarray  # every other record row, group by group
+    impressed_start: np.ndarray  # (groups,) offset of each group's impressed rows
+    impressed_count: np.ndarray  # (groups,)
+    excluded: np.ndarray  # sorted keys of each group's product codes
+    excluded_count: np.ndarray  # (groups,) distinct product codes per group
 
 
 def _first_appearance_codes(bags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,76 +174,70 @@ def group_records(records: np.ndarray) -> RecordGroups:
         raise ValueError("no purchased records to sample an epoch from")
     query_bags, query_code, _ = _first_appearance_codes(records["query"])
     product_bags, product_code, catalog_rows = _first_appearance_codes(records["product"])
-    groups = RecordGroups(
+    kept = np.bincount(query_code[purchased], minlength=len(query_bags)) > 0
+    group_of_code = np.cumsum(kept) - 1
+    rows = np.argsort(query_code, kind="stable")
+    rows = rows[kept[query_code[rows]]]
+    group = group_of_code[query_code[rows]]
+    n_groups, n_catalog = int(kept.sum()), len(catalog_rows)
+    is_purchase = purchased[rows]
+    impressed_count = np.bincount(group[~is_purchase], minlength=n_groups)
+    excluded = np.unique(group * n_catalog + product_code[rows])
+    return RecordGroups(
         query_bags,
         product_bags,
         query_code,
         product_code,
         records["weight"].astype(np.float64),
-        catalog_rows.tolist(),
-        [],
-        [],
-        [],
+        catalog_rows,
+        purchased=rows[is_purchase],
+        purchase_group=group[is_purchase],
+        impressed=rows[~is_purchase],
+        impressed_start=np.cumsum(impressed_count) - impressed_count,
+        impressed_count=impressed_count,
+        excluded=excluded,
+        excluded_count=np.bincount(excluded // n_catalog, minlength=n_groups),
     )
-    by_query = np.argsort(query_code, kind="stable")
-    for rows in np.split(by_query, np.cumsum(np.bincount(query_code))[:-1]):
-        is_purchase = purchased[rows]
-        if is_purchase.any():
-            groups.purchased.append(rows[is_purchase].tolist())
-            groups.impressed.append(rows[~is_purchase].tolist())
-            groups.excluded.append(set(product_code[rows].tolist()))
-    return groups
 
 
 def sample_epoch(
     groups: RecordGroups, config: TrainConfig, rng: np.random.Generator
 ) -> EpochSample:
-    """One epoch: per purchased record, 1 purchase + 6 impressed (with
-    replacement; randoms substituted when the query has none) + 7 random
-    products sampled outside the query's purchased/impressed sets.
+    """One epoch: per purchased record, 1 purchase + `impressed_per_purchase`
+    impressed (with replacement; randoms substituted when the query has
+    none) + `random_per_purchase` random products sampled outside the
+    query's purchased/impressed sets.
 
     Every pick takes its own `integers`-equivalent draw, with rejection for
-    random picks, read from blocks of the generator's raw words (`Draws`);
-    the generator is synced before the shuffle."""
+    random picks, in one `Draws.below_many` pass over the epoch's picks; a
+    random pick is drawn again while its product is in the query's
+    exclusion, unless that covers the whole catalog. The generator is
+    synced before the shuffle."""
     k_imp, k_rand = config.impressed_per_purchase, config.random_per_purchase
-    per = 1 + k_imp + k_rand
-    catalog = groups.catalog_rows
-    n_catalog = len(catalog)
+    n_catalog = len(groups.catalog_rows)
     P, I, R = int(Label3.PURCHASED), int(Label3.IMPRESSED), int(Label3.RANDOM)
-    with_impressed = [P] + [I] * k_imp + [R] * k_rand
-    without_impressed = [P] + [R] * (k_imp + k_rand)
+    group = groups.purchase_group[:, None]
+    n_impressed = groups.impressed_count[group]
+    # Per purchase: k_imp impressed slots (random when the query has no
+    # impressed row), then k_rand random slots.
+    is_random = (np.arange(k_imp + k_rand) >= k_imp) | (n_impressed == 0)
+    bounds = np.where(is_random, n_catalog, n_impressed).ravel()
+    # A random pick is redrawn while its key is excluded, unless the
+    # query's exclusion covers the catalog; other picks get offset -1.
+    checked = is_random & (groups.excluded_count[group] < n_catalog)
+    offsets = np.where(checked, group * n_catalog, -1).ravel()
     draws = Draws(rng)
-    below = draws.below
-
-    def draw_randoms(excluded: set[int], count: int) -> list[int]:
-        accept_all = len(excluded) == n_catalog
-        picked: list[int] = []
-        while len(picked) < count:
-            j = below(n_catalog)
-            if accept_all or j not in excluded:
-                picked.append(catalog[j])
-        return picked
-
-    q_rows: list[int] = []
-    p_rows: list[int] = []
-    labels: list[int] = []
-    for purchased, impressed, excluded in zip(groups.purchased, groups.impressed, groups.excluded):
-        for pi in purchased:
-            q_rows += [pi] * per
-            p_rows.append(pi)
-            if impressed:
-                h = len(impressed)
-                p_rows += [impressed[below(h)] for _ in range(k_imp)]
-                labels += with_impressed
-            else:
-                p_rows += draw_randoms(excluded, k_imp)
-                labels += without_impressed
-            p_rows += draw_randoms(excluded, k_rand)
+    values = draws.below_many(bounds, offsets, groups.excluded).reshape(is_random.shape)
     draws.sync()
 
-    q_idx = np.asarray(q_rows, dtype=np.int64)
-    p_idx = np.asarray(p_rows, dtype=np.int64)
-    labels_arr = np.asarray(labels, dtype=np.int64)
+    picked = np.empty_like(values)
+    picked[is_random] = groups.catalog_rows[values[is_random]]
+    from_impressed = ~is_random
+    picked[from_impressed] = groups.impressed[(groups.impressed_start[group] + values)[from_impressed]]
+    purchased = groups.purchased[:, None]
+    q_idx = np.repeat(groups.purchased, 1 + k_imp + k_rand)
+    p_idx = np.hstack([purchased, picked]).ravel()
+    labels_arr = np.hstack([np.full_like(purchased, P), np.where(is_random, R, I)]).ravel()
     if config.shuffle:
         perm = rng.permutation(len(labels_arr))
         labels_arr, q_idx, p_idx = labels_arr[perm], q_idx[perm], p_idx[perm]

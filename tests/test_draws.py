@@ -6,6 +6,9 @@ from `Draws`. Values must agree, and after `sync()` both generators must
 continue alike: through `random()`, which takes a 64-bit word and keeps a
 buffered 32-bit half, through `integers(h, size=5)` and through
 `permutation(9)`, whose shuffle draws by a masked rejection of its own.
+`below_many` serves a whole array of `below` picks, some of them drawn
+again while they land in an excluded set, and is checked the same way
+against a loop of `integers(h)` calls.
 """
 
 import numpy as np
@@ -106,3 +109,113 @@ def test_bound_out_of_range_rejected(h):
 def test_sample_out_of_range_rejected(n, k):
     with pytest.raises(ValueError):
         Draws(np.random.default_rng(0)).sample(n, k)
+
+
+# -- below_many ------------------------------------------------------------------
+
+# Offset 0 excludes the values 1-8, so a pick with 2 <= h <= 9 is drawn again
+# until it lands on 0; offset 100 excludes the values 1-3; offset -1 is never
+# drawn again. Value 0 is always allowed, so every pick ends.
+EXCLUDED = [1, 2, 3, 4, 5, 6, 7, 8, 101, 102, 103]
+OFFSETS = [-1, 0, 100]
+
+
+def per_call(rng, bounds, offsets, excluded):
+    out = []
+    for h, offset in zip(bounds, offsets):
+        v = int(rng.integers(h))
+        while h > 1 and offset >= 0 and offset + v in excluded:
+            v = int(rng.integers(h))
+        out.append(v)
+    return out
+
+
+def replay_many(seed, bounds, offsets, offset):
+    """Both generators after the picks of `bounds`: per call, and through
+    `below_many` followed by `sync()`. `offsets` None means no exclusion."""
+    want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (want, got):
+        rng.integers(5, size=offset)
+    draws = Draws(got)
+    if offsets is None:
+        values = draws.below_many(np.asarray(bounds, dtype=np.int64))
+        expected = per_call(want, bounds, [-1] * len(bounds), [])
+    else:
+        values = draws.below_many(
+            np.asarray(bounds, dtype=np.int64), np.asarray(offsets, dtype=np.int64), np.asarray(EXCLUDED)
+        )
+        expected = per_call(want, bounds, offsets, set(EXCLUDED))
+    assert values.dtype == np.int64
+    assert values.tolist() == expected
+    draws.sync()
+    return want, got
+
+
+# Runs of alike picks (same bound and offset). 2**32 - 1 rejects a word with
+# probability about 2**-32; 3 * 2**30 + 1 rejects one in four.
+runs = st.lists(
+    st.tuples(
+        st.one_of(st.just(1), st.integers(2, 9), st.sampled_from([2**32 - 1, 3 * 2**30 + 1, 2**32])),
+        st.sampled_from(OFFSETS),
+        st.integers(1, 12),
+    ),
+    max_size=40,
+)
+
+
+def expand(runs):
+    bounds = [h for h, _, count in runs for _ in range(count)]
+    offsets = [o for _, o, count in runs for _ in range(count)]
+    return bounds, offsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=runs, excluding=st.booleans(), offset=st.integers(0, 3))
+@example(seed=0, runs=[], excluding=True, offset=1)
+@example(seed=1, runs=[(1, 0, 2), (3 * 2**30 + 1, -1, 3), (2**32 - 1, 0, 1), (9, 0, 7), (1, -1, 1)], excluding=True, offset=1)
+def test_below_many_equals_per_call_draws(seed, runs, excluding, offset):
+    bounds, offsets = expand(runs)
+    assert_continue_alike(*replay_many(seed, bounds, offsets if excluding else None, offset))
+
+
+@pytest.mark.parametrize("excluding", [False, True])
+def test_below_many_across_blocks(excluding):
+    """Over 10k picks the pass restarts after many rejections, within
+    chunks and at their ends, serves runs of alike picks that fail often,
+    and crosses refills of the word block."""
+    rng = np.random.default_rng(12)
+    picked = rng.integers(4, size=1500)
+    bounds = np.array([1, 9, 3 * 2**30 + 1, 2**32 - 1])[picked]
+    offsets = np.array(OFFSETS)[rng.integers(3, size=1500)]
+    counts = rng.integers(1, 13, size=1500)
+    bounds, offsets = np.repeat(bounds, counts).tolist(), np.repeat(offsets, counts).tolist()
+    assert len(bounds) > 8192
+    assert_continue_alike(*replay_many(12, bounds, offsets if excluding else None, offset=1))
+
+
+def test_below_many_after_below_shares_the_stream():
+    rng, want = np.random.default_rng(6), np.random.default_rng(6)
+    draws = Draws(rng)
+    assert draws.below(2**32 - 1) == int(want.integers(2**32 - 1))
+    bounds = [3 * 2**30 + 1] * 5000
+    assert draws.below_many(np.asarray(bounds)).tolist() == per_call(want, bounds, [-1] * 5000, [])
+    assert draws.below(7) == int(want.integers(7))
+    draws.sync()
+    assert_continue_alike(want, rng)
+
+
+def test_below_many_bounds_of_one_use_no_word():
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    draws = Draws(rng)
+    # Value 0 is excluded at offset 0, but a bound of 1 is never drawn again.
+    values = draws.below_many(np.ones(5, dtype=np.int64), np.zeros(5, dtype=np.int64), np.array([0]))
+    assert values.tolist() == [0] * 5
+    draws.sync()
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("h", [0, -1, 2**32 + 1])
+def test_below_many_bound_out_of_range_rejected(h):
+    with pytest.raises(ValueError):
+        Draws(np.random.default_rng(0)).below_many(np.array([3, h, 5], dtype=np.int64))

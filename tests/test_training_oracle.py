@@ -6,14 +6,16 @@ writer that encodes each text on its own and fills the records row by row, a sam
 that regroups the records by bag bytes every epoch and draws every pick with
 its own `integers` call, scatter-adds with `np.add.at`, and an ADAM step
 with one formula for sparse rows and another for dense arrays. The library
-groups once per train call, reads its draws from blocks of raw words
-(`draws.Draws`), scatters with `np.bincount` and updates sparse and dense
+groups once per train call into flat arrays, draws an epoch's picks in
+one pass over blocks of raw words (`draws.Draws.below_many`), finds the
+touched rows without a sort, scatters with `np.bincount` and updates sparse and dense
 parameters with one formula; it encodes each side's texts in one batch and
 fills the records by column. Both must agree
 to the byte, and so must the checkpoints they train.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -326,7 +328,9 @@ class TestSampleEpochOracle:
         cfg = TrainConfig(batch_size=4, shuffle=shuffle)
         assert_epochs_equal(recs, cfg, seed=3)
         groups = group_records(recs)
-        assert groups.excluded == [{0, 1, 2}]
+        # The one group excludes every code of the three-bag catalog.
+        assert groups.excluded.tolist() == [0, 1, 2]
+        assert groups.excluded_count.tolist() == [len(groups.catalog_rows)]
         sample = sample_epoch(groups, cfg, np.random.default_rng(3))
         assert (sample.labels == R).sum() == 2 * 7
 
@@ -346,7 +350,8 @@ class TestSampleEpochOracle:
         cfg = TrainConfig(batch_size=4, shuffle=shuffle)
         assert_epochs_equal(recs, cfg, seed=5)
         groups = group_records(recs)
-        assert groups.impressed[0] == [1]
+        assert groups.impressed_count[0] == 1
+        assert groups.impressed[groups.impressed_start[0]] == 1
         sample = sample_epoch(groups, TrainConfig(batch_size=4, shuffle=False), np.random.default_rng(5))
         assert sample.labels[:7].tolist() == [P] + [I] * 6
         assert (sample.product_ids[1:7] == groups.product_bags[groups.product_code[1]]).all()
@@ -368,10 +373,25 @@ class TestSampleEpochOracle:
         cfg = TrainConfig(batch_size=4, shuffle=shuffle)
         assert_epochs_equal(recs, cfg, seed=9)
         groups = group_records(recs)
-        assert groups.excluded[0] == {0, 1, 2, 3}
+        # Group 0's keys are its codes; one of the five bags is left to draw.
+        assert groups.excluded[: groups.excluded_count[0]].tolist() == [0, 1, 2, 3]
+        assert len(groups.catalog_rows) == 5
         sample = sample_epoch(groups, TrainConfig(batch_size=4, shuffle=False), np.random.default_rng(9))
         assert sample.labels[:14].tolist() == [P] + [I] * 6 + [R] * 7
         assert (sample.product_ids[7:14] == groups.product_bags[4]).all()
+
+    @pytest.mark.parametrize(
+        "seed, queries, products",
+        [(21, 100, 12), (22, 40, 60)],
+        ids=["12-bags", "60-bags"],
+    )
+    def test_epochs_of_thousands_of_picks(self, seed, queries, products):
+        """Over 4096 picks an epoch, past one chunk and one block of words.
+        A query excludes about half of 12 product bags or a quarter of 60,
+        so redraws fall inside chunks and at their ends."""
+        recs = make_records(seed, queries, products, rows=800, purchase_share=0.5)
+        assert (recs["label"] == P).sum() * 13 > 4096
+        assert_epochs_equal(recs, TrainConfig(batch_size=4), seed, epochs=2)
 
     def test_duplicate_product_bags_share_one_catalog_entry(self):
         recs = hand_records(
@@ -385,7 +405,7 @@ class TestSampleEpochOracle:
             ]
         )
         groups = group_records(recs)
-        assert groups.catalog_rows == [0, 2, 5]
+        assert groups.catalog_rows.tolist() == [0, 2, 5]
         assert groups.product_code.tolist() == [0, 0, 1, 1, 0, 2]
         for shuffle in (True, False):
             assert_epochs_equal(recs, TrainConfig(batch_size=4, shuffle=shuffle), seed=11)
@@ -413,6 +433,7 @@ class TestBackwardOracle:
     )
     @example(seed=0, batch=4, width=3, vocab=5, padding=1.0, n=3)  # an all-padding batch
     @example(seed=1, batch=3, width=5, vocab=1, padding=0.3, n=2)  # repeated ids within a bag
+    @example(seed=0, batch=8, width=6, vocab=12, padding=0.3, n=2)  # holds the last row id, 12
     def test_pool_backward_equals_add_at(self, seed, batch, width, vocab, padding, n):
         ids, rng = random_ids(seed, batch, width, vocab, padding)
         counts = np.count_nonzero(ids, axis=1)
@@ -427,6 +448,11 @@ class TestBackwardOracle:
         pad_a=st.sampled_from([0.0, 0.5, 1.0]),
         pad_b=st.sampled_from([0.0, 0.5, 1.0]),
     )
+    @example(seed=0, vocab=12, pad_a=0.5, pad_b=0.5)  # only b holds the last row id, 12
+    @example(seed=0, vocab=12, pad_a=1.0, pad_b=0.0)  # a is empty
+    @example(seed=0, vocab=12, pad_a=0.0, pad_b=1.0)  # b is empty
+    @example(seed=0, vocab=12, pad_a=1.0, pad_b=1.0)  # both are empty
+    @example(seed=3, vocab=2, pad_a=0.0, pad_b=0.0)  # both on rows 1 and 2
     def test_merge_equals_add_at(self, seed, vocab, pad_a, pad_b):
         grads = []
         for offset, pad in ((0, pad_a), (1, pad_b)):
@@ -520,6 +546,25 @@ def test_trained_checkpoint_equals_oracle_path(monkeypatch, shared, norm):
     monkeypatch.setattr(model_mod, "_merge_sparse", oracle_merge_sparse)
     monkeypatch.setattr(training, "adam_step", oracle_adam_step)
     assert trained() == got
+
+
+# sha256 of save_model's bytes after train, pinned from the per-group
+# sampler with sorted scatters: about 4.7k picks an epoch over a 40-bag
+# catalog, so chunk ends and redraws are in the stream.
+PINNED_CHECKPOINTS = [
+    (True, "batch", "d933b4c8afe87fc2429e07a4518193fe0a894be842d3df63442fb01d44b99f1b"),
+    (False, "layer", "17ee70eece03d17aa1694a626b403b4b72546c656b7aaacccbe5ecd00165fb28"),
+    (True, "none", "2dcc68b502d7f828904bd2247ffa47c99b8ae53e8f417666ce823a57bc80b924"),
+]
+
+
+@pytest.mark.parametrize("shared, norm, digest", PINNED_CHECKPOINTS)
+def test_trained_checkpoint_matches_pinned_digest(shared, norm, digest):
+    recs = make_records(8, queries=50, products=40, rows=900, purchase_share=0.4, max_id=30)
+    cfg = ModelConfig(embedding_dim=8, shared_embeddings=shared, normalization=norm)
+    model = init_model(30, 2, cfg, np.random.default_rng(0))
+    train(recs, model, LossSpec(), TrainConfig(batch_size=64, epochs=3, seed=4))
+    assert hashlib.sha256(serialize_model(model)).hexdigest() == digest
 
 
 class TestPreprocessOracle:
