@@ -112,7 +112,7 @@ def _cmd_embed_products(args: argparse.Namespace) -> int:
     idx = index_mod.build_index(catalog, model, vocab, cfg.tokenizer)
     with atomic_write(args.out) as f:
         index_mod.save_index(idx, f)
-    _log(f"indexed {len(idx.ids)} products")
+    _log(f"indexed {idx.matrix.shape[0]} products")
     return 0
 
 

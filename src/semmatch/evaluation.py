@@ -135,7 +135,7 @@ def run_matching_eval(
     report = MetricReport(skipped=len(queries) - len(live))
     qvecs = _embed_texts([q.text for q in live], "query", model, vocab, config)
     windows = 4 * _dot_error(np.linalg.norm(qvecs, axis=1), index.max_row_norm, index.matrix.shape[1])
-    step = max(1, _SCORE_BLOCK // max(1, len(index.ids)))
+    step = max(1, _SCORE_BLOCK // max(1, index.matrix.shape[0]))
     for start in range(0, len(live), step):
         block = slice(start, start + step)
         scored = qvecs[block] @ index.matrix.T

@@ -19,9 +19,9 @@ from .model import (
 )
 from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 
-_IDX_MAGIC = b"SMINDEX3"
-_IDX_VERSION = 3
-_IDX_HEADER = struct.Struct("<IQIQ")  # version, count, n, id blob length
+_IDX_MAGIC = b"SMINDEX4"
+_IDX_VERSION = 4
+_IDX_HEADER = struct.Struct("<IQIQ")  # version, count, n, id width
 _IDX_PREFIX = 8 + _IDX_HEADER.size + 32  # magic, header, model fingerprint
 _EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays near 2 MB
 
@@ -29,19 +29,43 @@ _EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays ne
 @dataclass
 class ProductIndex:
     """Rows in ascending product-id order, so a row index breaks score ties
-    by id. Ids that are not strictly ascending raise ValueError naming the
-    first pair out of order."""
+    by id. The ids are kept as UTF-8 records NUL-padded to one width; for
+    valid UTF-8 without NUL, byte order is str order, so one vector
+    comparison checks them. Ids that are not strictly ascending raise
+    ValueError naming the first pair out of order."""
 
-    ids: list[str]
+    keys: np.ndarray  # (count,) S{width}: each row's product id, UTF-8, NUL-padded
     matrix: np.ndarray  # (count, N), unit rows or exact zero rows
     fingerprint: bytes  # 32-byte model digest
 
     def __post_init__(self) -> None:
-        if not all(map(operator.lt, self.ids, self.ids[1:])):
-            a, b = next((a, b) for a, b in zip(self.ids, self.ids[1:]) if a >= b)
+        bad = np.flatnonzero(self.keys[1:] <= self.keys[:-1])
+        if bad.size:
+            a, b = self.ids_at(slice(bad[0], bad[0] + 2))
             if a == b:
                 raise ValueError(f"duplicate product id: {a!r}")
             raise ValueError(f"product ids out of order: {a!r} before {b!r}")
+
+    @classmethod
+    def from_ids(cls, ids: list[str], matrix: np.ndarray, fingerprint: bytes) -> ProductIndex:
+        """An index of `ids`, one per matrix row. An id containing a newline,
+        or a NUL, which the NUL-padded records cannot hold, raises ValueError."""
+        joined = "".join(ids)
+        for char, name in (("\n", "a newline"), ("\0", "a NUL")):
+            if char in joined:
+                pid = next(pid for pid in ids if char in pid)
+                raise ValueError(f"product id contains {name}: {pid!r}")
+        keys = np.array(list(map(str.encode, ids)), dtype=np.bytes_)  # UTF-8
+        return cls(keys=keys, matrix=matrix, fingerprint=fingerprint)
+
+    def ids_at(self, rows: np.ndarray | slice) -> list[str]:
+        """The product ids of `rows`, decoded."""
+        return [key.decode("utf-8") for key in self.keys[rows].tolist()]
+
+    @cached_property
+    def ids(self) -> list[str]:
+        """Every product id in row order, decoded on first use."""
+        return self.ids_at(slice(None))
 
     @cached_property
     def row_of(self) -> dict[str, int]:
@@ -85,14 +109,11 @@ def build_index(
 ) -> ProductIndex:
     """Encode, embed, and unit-normalize every catalog product, one row each in
     ascending product-id order. A duplicate product id, or one containing a
-    newline, raises ValueError."""
+    newline or a NUL, raises ValueError."""
     catalog = sorted(products, key=operator.itemgetter(0))
     ids = [pid for pid, _ in catalog]
-    for pid in ids:
-        if "\n" in pid:
-            raise ValueError(f"product id contains a newline: {pid!r}")
     matrix = _embed_texts([text for _, text in catalog], "product", model, vocab, config)
-    return ProductIndex(ids=ids, matrix=matrix, fingerprint=model_fingerprint(model))
+    return ProductIndex.from_ids(ids, matrix, model_fingerprint(model))
 
 
 def embed_query(
@@ -135,40 +156,69 @@ def top_k(
     k: int,
     threshold: float,
 ) -> MatchResult:
-    """Exact scan: up to k products with score >= threshold."""
+    """Exact scan: up to k products with score >= threshold. Only their ids
+    are decoded."""
     qvec = embed_query(query_text, model, vocab, config)
     scores, head = rank_all(qvec, index, k, threshold)
-    items = [(index.ids[i], float(scores[i])) for i in head]
-    return MatchResult(items=items)
+    return MatchResult(items=list(zip(index.ids_at(head), scores[head].tolist())))
 
 
 def save_index(index: ProductIndex, f: BinaryIO) -> None:
-    """Write the header, the model fingerprint, the ids as one newline-joined
-    UTF-8 blob padded with newlines to a multiple of 8 bytes, and the matrix."""
+    """Write the header, the model fingerprint, the ids as one block of UTF-8
+    records NUL-padded to the longest id's width, the block padded with NULs
+    to a multiple of 8 bytes, and the matrix."""
     count, n = index.matrix.shape
-    blob = "\n".join(index.ids).encode("utf-8")
-    f.write(_IDX_MAGIC + _IDX_HEADER.pack(_IDX_VERSION, count, n, len(blob)) + index.fingerprint)
-    f.write(blob + b"\n" * (-len(blob) % 8))
+    width = int(np.char.str_len(index.keys).max(initial=0))
+    block = index.keys.astype(f"S{width}", copy=False).tobytes() if width else b""
+    f.write(_IDX_MAGIC + _IDX_HEADER.pack(_IDX_VERSION, count, n, width) + index.fingerprint)
+    f.write(block + bytes(-len(block) % 8))
     f.write(np.ascontiguousarray(index.matrix, dtype="<f8"))
+
+
+def _read_keys(block: bytes, count: int, width: int) -> np.ndarray:
+    """View `count` records of `width` bytes as ProductIndex.keys, accepting
+    only what save_index writes: valid UTF-8 ids with no NUL inside them,
+    padded with NULs to the width of the longest. No Python string is made
+    per id."""
+    if width == 0:  # every id is empty
+        if count > 1:
+            raise ValueError("duplicate product id: ''")
+        return np.zeros(count, dtype="S1")
+    if count == 0:
+        raise ValueError("index id width is not that of its longest id")
+    rows = np.frombuffer(block, dtype=np.uint8).reshape(count, width)
+    if not rows[:, -1].any():
+        raise ValueError("index id width is not that of its longest id")
+    nul = rows == 0
+    if (nul[:, :-1] > nul[:, 1:]).any():  # a NUL before a byte that is not one
+        raise ValueError("an index id contains a NUL")
+    # With no record starting inside a character, the block decodes exactly
+    # when every record does.
+    if ((rows[:, 0] & 0xC0) == 0x80).any():
+        raise ValueError("index ids are not UTF-8")
+    try:
+        block.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("index ids are not UTF-8") from None
+    return np.frombuffer(block, dtype=f"S{width}")
 
 
 def load_index(f: BinaryIO) -> ProductIndex:
     """Read an index written by save_index. A short file, a trailing byte,
-    ids that do not fill the blob length and count in the header, or ids
-    that are not strictly ascending raise ValueError.
+    padding that is not NUL, ids that are not what save_index writes (see
+    _read_keys), or ids that are not strictly ascending raise ValueError.
 
-    A blob length off by less than its padding either moves a newline into
-    or out of the ids, which changes their count, or leaves a byte that is
-    not a newline in the padding."""
+    Every file it accepts saves back byte-identical."""
     head = f.read(_IDX_PREFIX)
     if head[:8] != _IDX_MAGIC:
         raise ValueError(f"not a version-{_IDX_VERSION} index file (magic {head[:8]!r})")
     if len(head) != _IDX_PREFIX:
         raise ValueError("truncated index")
-    version, count, n, blob_len = _IDX_HEADER.unpack_from(head, 8)
+    version, count, n, width = _IDX_HEADER.unpack_from(head, 8)
     if version != _IDX_VERSION:
         raise ValueError(f"unsupported index version {version}")
-    padded = blob_len + (-blob_len % 8)
+    block_len = count * width
+    padded = block_len + (-block_len % 8)
     present = _bytes_left(f)
     size = padded + 8 * count * n
     if present < size:
@@ -176,9 +226,8 @@ def load_index(f: BinaryIO) -> ProductIndex:
     if present > size:
         raise ValueError("index size does not match its header")
     raw = f.read(padded)
-    text = raw[:blob_len].decode("utf-8")
-    ids = text.split("\n") if count or text else []  # "" holds one empty id, or none
-    if len(ids) != count or raw[blob_len:] != b"\n" * (padded - blob_len):
+    if raw[block_len:] != bytes(padded - block_len):
         raise ValueError("index ids do not match its header")
+    keys = _read_keys(raw[:block_len], count, width)
     matrix = _read_array(f, (count, n))
-    return ProductIndex(ids=ids, matrix=matrix, fingerprint=head[-32:])
+    return ProductIndex(keys=keys, matrix=matrix, fingerprint=head[-32:])

@@ -1,7 +1,10 @@
 """The retrieval oracle: encode each text on its own with the per-text
 encoder, score every product with one matrix-vector product per query,
 lexsort by (score desc, id asc), walk that order for top_k, and score the
-matching metrics over the whole ranked id list."""
+matching metrics over the whole ranked id list. The id order check compares
+the ids as Python strings, one pair at a time."""
+
+import operator
 
 import numpy as np
 
@@ -26,6 +29,17 @@ def oracle_order(query_vec, index):
     id_rank = np.empty(len(index.ids), dtype=np.int64)
     id_rank[sorted(range(len(index.ids)), key=index.ids.__getitem__)] = np.arange(len(index.ids))
     return scores, np.lexsort((id_rank, -scores))
+
+
+def oracle_id_order_error(ids):
+    """The message ProductIndex raises for ids that are not strictly
+    ascending, naming the first pair out of order, or None."""
+    if all(map(operator.lt, ids, ids[1:])):
+        return None
+    a, b = next((a, b) for a, b in zip(ids, ids[1:]) if a >= b)
+    if a == b:
+        return f"duplicate product id: {a!r}"
+    return f"product ids out of order: {a!r} before {b!r}"
 
 
 def oracle_top_k(query_text, index, model, vocab, config, k, threshold=0.55):

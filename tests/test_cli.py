@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from semmatch import cli
 from semmatch.cli import build_parser, main
 from semmatch.config import RunConfig, load_run_config, parse_config_file
-from semmatch.index import load_index
+from semmatch.index import build_index, load_index, top_k
 from semmatch.losses import LossSpec
 from semmatch.model import ModelConfig, load_model, model_fingerprint
-from semmatch.synth import SynthConfig
-from semmatch.tokenizer import TokenizerConfig
+from semmatch.synth import SynthConfig, read_catalog
+from semmatch.tokenizer import TokenizerConfig, load_vocabulary
 from semmatch.training import TrainConfig
 
 CONFIG = """\
@@ -249,6 +249,32 @@ class TestPipeline:
         capsys.readouterr()
         assert run(query_args(cfg, paths)) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    def test_query_lines_equal_top_k(self, derived, tmp_path, capsys):
+        """`query` prints top_k's items over the index built from the same
+        catalog, here with ids of mixed lengths, non-ASCII ids and twin texts."""
+        cfg, paths = derived
+        with open(paths["data"] / "catalog.tsv") as f:
+            catalog = [(f"{i}{'é' * (i % 3)}", text) for i, (_, text) in enumerate(read_catalog(f))]
+        catalog += [(pid + "-twin", text) for pid, text in catalog[:5]]
+        path = tmp_path / "catalog.tsv"
+        path.write_text("".join(f"{pid}\t{text}\n" for pid, text in catalog), encoding="utf-8")
+        index = tmp_path / "index.bin"
+        assert run(["embed-products", "--catalog", path, "--model", paths["model.bin"],
+                    "--vocab", paths["vocab.txt"], "--config", cfg, "--out", index]) == 0
+        tokenizer = load_run_config(str(cfg)).tokenizer
+        with open(paths["vocab.txt"]) as f:
+            vocab = load_vocabulary(f)
+        with open(paths["model.bin"], "rb") as f:
+            model = load_model(f)
+        built = build_index(catalog, model, vocab, tokenizer)
+        for text in ("red shoe", catalog[0][1], ""):
+            capsys.readouterr()
+            args = query_args(cfg, paths, index=index)
+            args[2] = text
+            assert run(args + ["--k", 40, "--threshold", -1.0]) == 0
+            items = top_k(text, built, model, vocab, tokenizer, 40, -1.0).items
+            assert capsys.readouterr().out.splitlines() == [f"{pid}\t{score:.6f}" for pid, score in items]
 
     def test_shard_check(self, capsys):
         assert run(["shard-check", "--n", 4, "--dim", 32, "--pairs", 50]) == 0
@@ -561,21 +587,25 @@ class TestArtifactReplacement:
 
 ARTIFACTS = {"index.bin": load_index, "model.bin": load_model}
 CORRUPTION = settings(max_examples=60, deadline=None)
-FIELD_BITS = 32 * 8  # both files: magic, version, then count, n and blob length, or V, B and n
+FIELD_BITS = 32 * 8  # both files: magic, version, then count, n and id width, or V, B and n
+
+
+def index_count_and_width(blob):
+    return struct.unpack_from("<Q", blob, 12)[0], struct.unpack_from("<Q", blob, 24)[0]
 
 
 def index_blob_end(blob):
-    """Where the index's id blob and its padding end: the matrix starts there."""
-    blob_len = struct.unpack_from("<Q", blob, 24)[0]
-    return 64 + blob_len + (-blob_len % 8)
+    """Where the index's id records and their padding end: the matrix starts there."""
+    count, width = index_count_and_width(blob)
+    return 64 + count * width + (-count * width % 8)
 
 
 class TestCorruptArtifacts:
     """A damaged index.bin or model.bin is rejected with ValueError by its
     loader, and with one `error:` line and exit 1 by `semmatch query`: a file
-    cut short inside the index's header or id blob, or anywhere in a
+    cut short inside the index's header or id records, or anywhere in a
     checkpoint; a bit flipped in a magic, version, count, size or
-    blob-length field; index ids swapped or repeated, so that they no longer
+    id-width field; index ids swapped or repeated, so that they no longer
     ascend strictly; an older magic. tests/test_index.py and
     tests/test_model.py try every cut and every header bit on the loaders
     alone.
@@ -619,21 +649,21 @@ class TestCorruptArtifacts:
     @CORRUPTION
     @given(data=st.data())
     def test_ids_swapped_or_repeated(self, derived, data):
-        """Two ids swapped, or one written over another of the same length
-        (every id of the test catalog has one length), keep the blob length
-        and the id count: only the strict order rejects them."""
+        """Two id records swapped, or one written whole over another, keep
+        the id width and count: only the strict order rejects them."""
         blob = derived[1]["index.bin"].read_bytes()
-        blob_len = struct.unpack_from("<Q", blob, 24)[0]
-        ids = blob[64 : 64 + blob_len].split(b"\n")
-        i, j = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=2, max_size=2, unique=True))
+        count, width = index_count_and_width(blob)
+        ids = [blob[64 + r * width : 64 + (r + 1) * width] for r in range(count)]
+        i, j = data.draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True))
         if data.draw(st.booleans()):
             ids[i], ids[j] = ids[j], ids[i]
         else:
             ids[i] = ids[j]
-        self.assert_rejected(derived, "index.bin", blob[:64] + b"\n".join(ids) + blob[64 + blob_len :])
+        self.assert_rejected(derived, "index.bin", blob[:64] + b"".join(ids) + blob[64 + count * width :])
 
     @pytest.mark.parametrize(
-        "name,magic", [("index.bin", b"SMINDEX1"), ("index.bin", b"SMINDEX2"), ("model.bin", b"SMMODEL1")]
+        "name,magic",
+        [("index.bin", b"SMINDEX1"), ("index.bin", b"SMINDEX2"), ("index.bin", b"SMINDEX3"), ("model.bin", b"SMMODEL1")],
     )
     def test_version_1_magic(self, derived, name, magic):
         self.assert_rejected(derived, name, magic + derived[1][name].read_bytes()[8:])

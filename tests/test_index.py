@@ -1,11 +1,15 @@
 """Exact retrieval and index serialization tests."""
 
 import io
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from search_oracle import oracle_id_order_error
 from semmatch import index as index_mod
 from semmatch.index import (
     ProductIndex,
@@ -33,6 +37,30 @@ CATALOG = [
     ("P4", "red hat"),
     ("P5", "blue coat warm"),
 ]
+
+
+# Pieces of ids: shared prefixes, UTF-8 sequences of 1 to 4 bytes, and é
+# precomposed against e followed by a combining acute accent.
+ID_PIECES = ["P", "1", "10", "e", "é", "e\u0301", "\u0301", "产", "\U0001f600", "\x7f"]
+IDS = st.one_of(
+    st.lists(st.sampled_from(ID_PIECES), max_size=3).map("".join),
+    st.text(st.characters(codec="utf-8", exclude_characters="\0\n"), max_size=3),
+)
+
+
+def index_file(block, count, width, pad=None, n=1):
+    """A version-4 index file around a hand-made id block: NUL padding unless
+    `pad` is given, a zero fingerprint and zero rows."""
+    pad = bytes(-len(block) % 8) if pad is None else pad
+    head = b"SMINDEX4" + struct.pack("<IQIQ", 4, count, n, width) + bytes(32)
+    return head + block + pad + bytes(8 * count * n)
+
+
+def records(ids):
+    """The ids as save_index lays them out: UTF-8, NUL-padded to the longest."""
+    encoded = [pid.encode("utf-8") for pid in ids]
+    width = max(map(len, encoded), default=0)
+    return b"".join(e.ljust(width, b"\0") for e in encoded), width
 
 
 @pytest.fixture
@@ -71,12 +99,19 @@ class TestBuildIndex:
     )
     def test_ids_not_strictly_ascending_rejected(self, ids):
         with pytest.raises(ValueError, match="duplicate product id|out of order"):
-            ProductIndex(ids=ids, matrix=np.zeros((len(ids), 2)), fingerprint=b"\0" * 32)
+            ProductIndex.from_ids(ids=ids, matrix=np.zeros((len(ids), 2)), fingerprint=b"\0" * 32)
 
     def test_newline_id_rejected(self, setup):
         vocab, model, _ = setup
         with pytest.raises(ValueError, match="newline"):
             build_index(CATALOG + [("P6\nP7", "red")], model, vocab, TC)
+
+    @pytest.mark.parametrize("pid", ["P6\0", "P\0", "\0"])
+    def test_nul_id_rejected(self, setup, pid):
+        """The padding is NUL, so an id ending in one would read back shorter."""
+        vocab, model, _ = setup
+        with pytest.raises(ValueError, match=re.escape(f"contains a NUL: {pid!r}")):
+            build_index(CATALOG + [(pid, "red")], model, vocab, TC)
 
     def test_fingerprint_matches_model(self, setup):
         _, model, index = setup
@@ -109,6 +144,59 @@ class TestBuildIndex:
             assert index.matrix[0].tobytes() == zero, norm
             assert np.linalg.norm(index.matrix[1]) == pytest.approx(1.0), norm
             assert embed_query("", model, vocab, TC).tobytes() == zero, norm
+
+
+class TestIdOrder:
+    """One vector comparison of the NUL-padded UTF-8 records checks the ids
+    of built and loaded indexes alike; it must accept exactly the id lists
+    that comparing them as Python strings accepts, and name the same first
+    pair when it rejects one."""
+
+    @staticmethod
+    def assert_oracle_outcome(ids):
+        def outcome(make):
+            try:
+                make()
+            except ValueError as e:
+                return str(e)
+            return None
+
+        want = oracle_id_order_error(ids)
+        matrix = np.zeros((len(ids), 1))
+        assert outcome(lambda: ProductIndex.from_ids(ids, matrix, bytes(32))) == want
+        block, width = records(ids)
+        assert outcome(lambda: load_index(io.BytesIO(index_file(block, len(ids), width)))) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_drawn_ids_equal_oracle(self, data):
+        ids = sorted(set(data.draw(st.lists(IDS, max_size=8))))
+        change = data.draw(st.sampled_from(["none", "duplicate", "swap", "any"]))
+        if change == "duplicate" and ids:
+            i = data.draw(st.integers(0, len(ids) - 1))
+            ids.insert(i, ids[i])
+        elif change == "swap" and len(ids) > 1:
+            i = data.draw(st.integers(0, len(ids) - 2))
+            ids[i], ids[i + 1] = ids[i + 1], ids[i]
+        elif change == "any":
+            ids = data.draw(st.lists(IDS, max_size=8))
+        self.assert_oracle_outcome(ids)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [["P1", "P10", "P1é"], ["P10", "P1", "P1é"], ["e\u0301", "é"], ["é", "e\u0301"],
+         ["", "a"], ["a", ""], ["", ""], [""], []],
+    )
+    def test_edge_ids_equal_oracle(self, ids):
+        self.assert_oracle_outcome(ids)
+
+    @pytest.mark.parametrize("ids", [[], [""]], ids=["empty", "only-empty-id"])
+    def test_zero_width_roundtrip(self, ids):
+        index = ProductIndex.from_ids(ids, np.zeros((len(ids), 1)), bytes(32))
+        buf = io.BytesIO()
+        save_index(index, buf)
+        assert buf.getvalue() == index_file(b"", len(ids), 0)
+        assert load_index(io.BytesIO(buf.getvalue())).ids == ids
 
 
 class TestRanking:
@@ -219,8 +307,8 @@ class TestIndexFile:
         buf = io.BytesIO()
         save_index(index, buf)
         blob = buf.getvalue()
-        ids = "\n".join(pid for pid, _ in catalog).encode("utf-8")
-        assert struct.unpack_from("<Q", blob, 24)[0] == len(ids)  # the blob-length field
+        width = max((len(pid.encode("utf-8")) for pid, _ in catalog), default=0)
+        assert struct.unpack_from("<Q", blob, 24)[0] == width  # the id-width field
         loaded = load_index(io.BytesIO(blob))
         assert loaded.ids == index.ids == sorted(pid for pid, _ in catalog)
         assert loaded.matrix.tobytes() == index.matrix.tobytes()
@@ -254,19 +342,95 @@ class TestIndexFile:
             load_index(io.BytesIO(blob + b"\0"))
 
     def test_header_bit_flips_rejected(self, setup):
-        # Every bit of the magic, version, count, n and blob length. The id
-        # blob is 14 bytes, so some blob-length flips stay inside the padding
-        # and only the padding and the id count can reject them.
+        # Every bit of the magic, version, count, n and id width. The 5 ids
+        # are 2 bytes wide, so the id block is 10 bytes and some width flips
+        # (2 -> 3) stay inside the padding: only the padding and the records
+        # can reject them.
         _, _, index = setup
         buf = io.BytesIO()
         save_index(index, buf)
         blob = buf.getvalue()
-        assert struct.unpack_from("<Q", blob, 24)[0] % 8 != 0
+        count, width = struct.unpack_from("<Q", blob, 12)[0], struct.unpack_from("<Q", blob, 24)[0]
+        assert count * width % 8 != 0
         for bit in range(32 * 8):
             damaged = bytearray(blob)
             damaged[bit // 8] ^= 1 << (bit % 8)
             with pytest.raises(ValueError):
                 load_index(io.BytesIO(bytes(damaged)))
+
+    def test_hand_made_file_loads_and_saves_back(self):
+        blob = index_file(b"P1\0\0P10\0P1\xc3\xa9", 3, 4)
+        loaded = load_index(io.BytesIO(blob))
+        assert loaded.ids == ["P1", "P10", "P1é"]
+        again = io.BytesIO()
+        save_index(loaded, again)
+        assert again.getvalue() == blob
+
+    @pytest.mark.parametrize(
+        "block,count,width,message",
+        [
+            (b"a\0bc\0\0", 2, 3, "contains a NUL"),
+            (b"\0ab", 1, 3, "contains a NUL"),
+            (b"a\0\0b\0\0", 2, 3, "width"),
+            (b"", 0, 5, "width"),
+            (b"", 2, 0, "duplicate product id: ''"),
+            (b"a\xc3\xa9b", 2, 2, "UTF-8"),
+            (b"\xc3\0bc", 2, 2, "UTF-8"),
+            (b"\xed\xa0\x80", 1, 3, "UTF-8"),
+            (b"ba", 2, 1, "out of order"),
+        ],
+        ids=["nul-inside", "nul-first", "width-unfilled", "width-no-ids", "zero-width-twice",
+             "char-across-records", "char-cut-by-padding", "surrogate", "descending"],
+    )
+    def test_bad_records_rejected(self, block, count, width, message):
+        with pytest.raises(ValueError, match=message):
+            load_index(io.BytesIO(index_file(block, count, width)))
+
+    @pytest.mark.parametrize("pad", [b"\0x", b"\n\n", b"x\0"])
+    def test_padding_not_nul_rejected(self, pad):
+        with pytest.raises(ValueError, match="do not match its header"):
+            load_index(io.BytesIO(index_file(b"P1P2P3", 3, 2, pad=pad)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(st.sampled_from(["", "a", "b", "ab", "é", "e\u0301", "产"]), max_size=4), data=st.data())
+    def test_accepted_files_save_back_identical(self, ids, data):
+        """Whatever bytes the id block holds, a file that loads saves back to
+        the same bytes."""
+        ids = sorted(set(ids))
+        block, width = records(ids)
+        block = bytearray(block)
+        for _ in range(data.draw(st.integers(0, 2)) if block else 0):
+            block[data.draw(st.integers(0, len(block) - 1))] = data.draw(st.sampled_from(b"\0ab\xc3\xa9\x80"))
+        blob = index_file(bytes(block), len(ids), width)
+        try:
+            loaded = load_index(io.BytesIO(blob))
+        except ValueError:
+            return
+        again = io.BytesIO()
+        save_index(loaded, again)
+        assert again.getvalue() == blob
+
+    @pytest.mark.parametrize(
+        "catalog",
+        [
+            [("P1", "red shoe"), ("P10", "red shoe"), ("P1é", "blue coat"), ("Q", "green hat"),
+             ("产品-7", "red hat"), ("Pe\u0301", "red shoe"), ("P2", ""), ("P20", "")],
+            [(f"{i}{'é' * (i % 3)}", text) for i, (_, text) in enumerate(CATALOG * 3)],
+        ],
+        ids=["mixed", "twins"],
+    )
+    def test_reloaded_top_k_equals_built(self, setup, catalog):
+        """top_k over a saved and reloaded index returns the built index's
+        items, ties between twin texts included."""
+        vocab, model, _ = setup
+        index = build_index(catalog, model, vocab, TC)
+        buf = io.BytesIO()
+        save_index(index, buf)
+        loaded = load_index(io.BytesIO(buf.getvalue()))
+        for text in ("red shoe", "blue coat warm", "hat", ""):
+            for k in (1, 3, len(catalog)):
+                want = top_k(text, index, model, vocab, TC, k=k, threshold=-1.0).items
+                assert top_k(text, loaded, model, vocab, TC, k=k, threshold=-1.0).items == want
 
     def test_roundtrip_preserves_ranking(self, setup):
         vocab, model, index = setup

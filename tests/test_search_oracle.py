@@ -53,7 +53,7 @@ def tied_index(seed, size, model, vocab):
     grid = np.divide(grid, norms, out=np.zeros_like(grid), where=norms > 0)
     pool = np.vstack([oracle_embed(TEXTS, "product", model, vocab, TC), grid, np.zeros((1, model.n))])
     matrix = pool[rng.integers(0, len(pool), size=size)]
-    return ProductIndex(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
+    return ProductIndex.from_ids(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
 
 
 def eval_queries(seed, index):
@@ -136,7 +136,7 @@ def untied_index(seed, size, dim):
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(size, dim))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    return ProductIndex(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
+    return ProductIndex.from_ids(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
 
 
 def many_queries(seed, index, count):
@@ -228,7 +228,7 @@ class TestBlockedScoring:
         matrix = unit_or_zero(size)
         exponents = rng.choice([-1070, -1040, -1000, -540, -30, 0, 30, 500], size=(n_queries, 1))
         qvecs = unit_or_zero(n_queries) * np.exp2(exponents)
-        index = ProductIndex(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
+        index = ProductIndex.from_ids(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
         e = evaluation._dot_error(np.linalg.norm(qvecs, axis=1), index.max_row_norm, dim)
         for qvec, scores, bound in zip(qvecs, qvecs @ matrix.T, e):
             assert np.all(np.abs(scores - matrix @ qvec) <= 2 * bound)
@@ -244,7 +244,7 @@ class TestBlockedScoring:
         got = run_matching_eval(queries, index, model, vocab, TC, k=5)
         assert fallbacks == []
         assert_same_report(got, oracle_matching_eval(queries, index, model, vocab, TC, k=5))
-        dup = ProductIndex(
+        dup = ProductIndex.from_ids(
             ids=index.ids + ["p050"], matrix=np.vstack([index.matrix, index.matrix[13]]), fingerprint=b"\0" * 32
         )
         got = run_matching_eval(queries, dup, model, vocab, TC, k=5)
@@ -267,7 +267,7 @@ class TestBlockedScoring:
         matrix = rng.normal(size=(8, dim))
         matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
         matrix[1] = matrix[0, [1, 0, *range(2, dim)]]
-        index = ProductIndex(ids=[f"p{j}" for j in range(8)], matrix=matrix, fingerprint=b"\0" * 32)
+        index = ProductIndex.from_ids(ids=[f"p{j}" for j in range(8)], matrix=matrix, fingerprint=b"\0" * 32)
         queries = [EvalQuery(f"q{n}", "red", {index.ids[0]: 1}, set()) for n in range(4)]
         with mock.patch.object(evaluation, "_embed_texts", lambda *args: qvecs):
             got = run_matching_eval(queries, index, model, vocab, TC, k=5)
@@ -286,7 +286,7 @@ class TestBlockedScoring:
         edge = np.nextafter(window, np.inf) if beyond else window
         matrix = np.zeros((3, dim))
         matrix[1, 0], matrix[2, 0] = edge, 1.0  # row 0 scores 0, the purchase
-        index = ProductIndex(ids=["a", "b", "c"], matrix=matrix, fingerprint=b"\0" * 32)
+        index = ProductIndex.from_ids(ids=["a", "b", "c"], matrix=matrix, fingerprint=b"\0" * 32)
         monkeypatch.setattr(evaluation, "_embed_texts", lambda *args: qvec)
         got = run_matching_eval([EvalQuery("q0", "red", {"a": 1}, set())], index, model, vocab, TC, k=5)
         assert fallbacks == ([] if beyond else [[0]])
