@@ -3,6 +3,7 @@ lazy sparse ADAM, and the epoch loop."""
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -121,14 +122,26 @@ class TrainConfig:
         for name in ("impressed_per_purchase", "random_per_purchase"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # A moment rate of 1 zeroes a bias correction, and eps = 0 divides
+        # 0 by 0 for a touched entry whose gradient stayed 0. Either writes
+        # NaN rows, which score 0 and so pass train's finite-loss check.
+        for name in ("alpha", "epsilon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1)")
 
 
 @dataclass
 class EpochSample:
+    """An epoch's examples, each bag given by its row in the RecordGroups
+    bag tables (`query_bags[query_code]` is the query bag)."""
+
     labels: np.ndarray  # (E,) Label3 codes
     weights: np.ndarray  # (E,) float64
-    query_ids: np.ndarray  # (E, Lq) int64
-    product_ids: np.ndarray  # (E, Lp) int64
+    query_code: np.ndarray  # (E,) int64 row of RecordGroups.query_bags
+    product_code: np.ndarray  # (E,) int64 row of RecordGroups.product_bags
 
 
 @dataclass
@@ -244,8 +257,8 @@ def sample_epoch(
     return EpochSample(
         labels=labels_arr,
         weights=np.where(labels_arr == R, 1.0, groups.weights[p_idx]),
-        query_ids=groups.query_bags[groups.query_code[q_idx]],
-        product_ids=groups.product_bags[groups.product_code[p_idx]],
+        query_code=groups.query_code[q_idx],
+        product_code=groups.product_code[p_idx],
     )
 
 
@@ -331,7 +344,10 @@ def train(
     loss_spec: LossSpec,
     config: TrainConfig,
 ) -> TrainHistory:
-    """Run the sampled-epoch training loop; mutates the model in place."""
+    """Run the sampled-epoch training loop; mutates the model in place.
+
+    An epoch is held as bag codes; each batch gathers its bags from the
+    RecordGroups tables just before its forward pass."""
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     states = {name: AdamState.for_param(p) for name, p in params.items()}
@@ -339,25 +355,26 @@ def train(
     needs_batch = model.config.normalization == model_mod.NORM_BATCH
 
     groups = group_records(records)
+    query_nonempty = groups.query_bags.any(axis=1)
+    product_nonempty = groups.product_bags.any(axis=1)
     for _epoch in range(config.epochs):
         sample = sample_epoch(groups, config, rng)
-        nonempty = (np.count_nonzero(sample.query_ids, axis=1) > 0) & (
-            np.count_nonzero(sample.product_ids, axis=1) > 0
-        )
+        nonempty = query_nonempty[sample.query_code] & product_nonempty[sample.product_code]
         history.dropped_empty += int((~nonempty).sum())
         labels = sample.labels[nonempty]
         weights = sample.weights[nonempty]
-        q = sample.query_ids[nonempty]
-        p = sample.product_ids[nonempty]
+        q = sample.query_code[nonempty]
+        p = sample.product_code[nonempty]
 
         total_loss = 0.0
         total_weight = 0.0
         for start in range(0, len(labels), config.batch_size):
             sl = slice(start, start + config.batch_size)
-            qb, pb, lb, wb = q[sl], p[sl], labels[sl], weights[sl]
+            lb, wb = labels[sl], weights[sl]
             if needs_batch and len(lb) < 2:
                 history.skipped_small_batches += 1
                 continue
+            qb, pb = groups.query_bags[q[sl]], groups.product_bags[p[sl]]
             scores, cache = forward_batch(qb, pb, model, "train")
             losses = loss_batch(scores, lb, loss_spec)
             wsum = wb.sum()

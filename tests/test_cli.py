@@ -336,6 +336,23 @@ class TestErrors:
         assert (status, err) == (1, [f"error: {key} must be >= 0"])
         assert not (tmp_path / "model.bin").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("beta2", "1", "beta2 must be in [0, 1)"),
+        ("beta1", "1", "beta1 must be in [0, 1)"),
+        ("alpha", "0", "alpha must be finite and positive"),
+        ("alpha", "nan", "alpha must be finite and positive"),
+        ("epsilon", "0", "epsilon must be finite and positive"),
+    ])
+    def test_degenerate_optimizer_setting_exits_one(self, derived, tmp_path, key, value, message):
+        # Each trained a checkpoint of NaN rows that query then answered with nothing.
+        cfg, paths = derived
+        bad = tmp_path / "run.cfg"
+        bad.write_text(cfg.read_text() + f"train.{key} = {value}\n")
+        status, err = run_quiet(["train", "--records", paths["recs.bin"], "--vocab", paths["vocab.txt"],
+                                 "--config", bad, "--out", tmp_path / "model.bin"])
+        assert (status, err) == (1, [f"error: {message}"])
+        assert not (tmp_path / "model.bin").exists()
+
     def test_truncated_index_exits_one(self, workspace, capsys):
         tmp, cfg = workspace
         data, vocab, recs = tmp / "data", tmp / "vocab.txt", tmp / "recs.bin"

@@ -1,6 +1,7 @@
 """Training pipeline tests: record files, epoch sampling, init, ADAM, loop."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,7 +155,8 @@ class TestSampleEpoch:
     def test_randoms_exclude_interacted_products(self, tmp_path):
         recs = self._records(tmp_path)
         cfg = TrainConfig(batch_size=4, shuffle=False)
-        sample = sample_epoch(group_records(recs), cfg, np.random.default_rng(0))
+        groups = group_records(recs)
+        sample = sample_epoch(groups, cfg, np.random.default_rng(0))
         # For each random example, its product bag must differ from the
         # purchased/impressed bags of the same query.
         by_query = {}
@@ -163,18 +165,37 @@ class TestSampleEpoch:
                 recs["product"][i].tobytes()
             )
         rand = sample.labels == int(Label3.RANDOM)
-        for qids, pids in zip(sample.query_ids[rand], sample.product_ids[rand]):
+        query_bags = groups.query_bags[sample.query_code[rand]]
+        product_bags = groups.product_bags[sample.product_code[rand]]
+        for qids, pids in zip(query_bags, product_bags):
             interacted = by_query[qids.astype(np.uint32).tobytes()]
             assert pids.astype(np.uint32).tobytes() not in interacted
 
     def test_seeded_determinism(self, tmp_path):
         recs = self._records(tmp_path)
         cfg = TrainConfig(batch_size=4)
-        s1 = sample_epoch(group_records(recs), cfg, np.random.default_rng(5))
-        s2 = sample_epoch(group_records(recs), cfg, np.random.default_rng(5))
+        g1, g2 = group_records(recs), group_records(recs)
+        s1 = sample_epoch(g1, cfg, np.random.default_rng(5))
+        s2 = sample_epoch(g2, cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(s1.labels, s2.labels)
-        np.testing.assert_array_equal(s1.query_ids, s2.query_ids)
-        np.testing.assert_array_equal(s1.product_ids, s2.product_ids)
+        np.testing.assert_array_equal(g1.query_bags[s1.query_code], g2.query_bags[s2.query_code])
+        np.testing.assert_array_equal(g1.product_bags[s1.product_code], g2.product_bags[s2.product_code])
+
+    @pytest.mark.parametrize(
+        "name, bad, good, message",
+        [
+            ("alpha", [0.0, -0.001, float("nan"), float("inf")], 1e-9, "alpha must be finite and positive"),
+            ("beta1", [1.0, 1.5, -0.1, float("nan")], 0.0, r"beta1 must be in \[0, 1\)"),
+            ("beta2", [1.0, 1.5, -0.1, float("nan")], 0.0, r"beta2 must be in \[0, 1\)"),
+            ("epsilon", [0.0, -1e-8, float("nan"), float("inf")], 1e-300, "epsilon must be finite and positive"),
+        ],
+    )
+    def test_degenerate_optimizer_setting_rejected(self, name, bad, good, message):
+        # A rate of 1, eps = 0 or a NaN alpha each trained a checkpoint of NaN rows.
+        for value in bad:
+            with pytest.raises(ValueError, match=message):
+                TrainConfig(**{name: value})
+        TrainConfig(**{name: good})
 
     @pytest.mark.parametrize("name", ["impressed_per_purchase", "random_per_purchase"])
     def test_negative_per_purchase_count_rejected(self, name):
@@ -300,6 +321,35 @@ class TestTrainLoop:
             train(recs, model, LossSpec(), TrainConfig(batch_size=8, epochs=5, seed=3))
             fps.append(model_fingerprint(model))
         assert fps[0] == fps[1]
+
+    def test_epoch_memory_does_not_scale_with_bag_width(self):
+        """Four copies of a record set make an epoch of 4 E examples; the
+        peak of train may grow by far less than the 3 E examples' bags,
+        (40 + 80) ids of 8 bytes each, held once."""
+        qmax, pmax = 40, 80
+        rng = np.random.default_rng(0)
+        queries = rng.integers(1, 30, size=(12, qmax))
+        products = rng.integers(1, 30, size=(40, pmax))
+        recs = np.zeros(150, dtype=record_dtype(qmax, pmax))
+        recs["query"] = queries[rng.integers(len(queries), size=len(recs))]
+        recs["product"] = products[rng.integers(len(products), size=len(recs))]
+        recs["label"] = np.where(rng.random(len(recs)) < 0.4, Label3.PURCHASED, Label3.IMPRESSED)
+        recs["weight"] = 1.0
+        train_cfg = TrainConfig(batch_size=64, epochs=2, seed=0)
+
+        def peak(records):
+            model = init_model(30, 0, ModelConfig(embedding_dim=4), np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                train(records, model, LossSpec(), train_cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        examples = len(sample_epoch(group_records(recs), train_cfg, np.random.default_rng(0)).labels)
+        one_epoch_of_bags = 3 * examples * (qmax + pmax) * 8
+        growth = peak(np.concatenate([recs] * 4)) - peak(recs)
+        assert growth < one_epoch_of_bags / 4, (growth, one_epoch_of_bags)
 
     def test_zero_epochs_leaves_model_unchanged(self, tmp_path):
         recs, model = self._setup(tmp_path)

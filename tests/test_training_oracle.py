@@ -16,6 +16,7 @@ to the byte, and so must the checkpoints they train.
 
 import dataclasses
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -74,9 +75,20 @@ def oracle_preprocess_logs(logs, vocab, config, out_path):
     return stats
 
 
+def record_row_tables(records: np.ndarray) -> types.SimpleNamespace:
+    """The bag tables the oracle's codes point into: row i holds record i's
+    bags, so equal bags repeat."""
+    return types.SimpleNamespace(
+        records=records,
+        query_bags=records["query"].astype(np.int64),
+        product_bags=records["product"].astype(np.int64),
+    )
+
+
 def oracle_sample_epoch(
     records: np.ndarray, config: TrainConfig, rng: np.random.Generator
 ) -> EpochSample:
+    """The epoch with each bag coded by its record row (record_row_tables)."""
     labels = records["label"]
     purchased_idx = np.flatnonzero(labels == int(Label3.PURCHASED))
     if purchased_idx.size == 0:
@@ -144,14 +156,13 @@ def oracle_sample_epoch(
                 out_rows.append((pi, ri))
 
     rows = np.asarray(out_rows, dtype=np.int64)
-    q = records["query"][rows[:, 0]].astype(np.int64)
-    p = records["product"][rows[:, 1]].astype(np.int64)
+    q, p = rows[:, 0], rows[:, 1]
     labels_arr = np.asarray(out_labels, dtype=np.int64)
     weights_arr = np.asarray(out_weights, dtype=np.float64)
     if config.shuffle:
         perm = rng.permutation(len(labels_arr))
         labels_arr, weights_arr, q, p = labels_arr[perm], weights_arr[perm], q[perm], p[perm]
-    return EpochSample(labels=labels_arr, weights=weights_arr, query_ids=q, product_ids=p)
+    return EpochSample(labels=labels_arr, weights=weights_arr, query_code=q, product_code=p)
 
 
 def oracle_pool_backward(ids, counts, dpooled):
@@ -218,9 +229,14 @@ def same_array(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def same_sample(got: EpochSample, want: EpochSample) -> None:
-    for name in ("labels", "weights", "query_ids", "product_ids"):
-        same_array(getattr(got, name), getattr(want, name))
+def same_sample(got: EpochSample, groups, want: EpochSample, records) -> None:
+    """`got` codes rows of `groups`' bag tables, the oracle's `want` rows of
+    `records`; the labels, weights and gathered bags agree to the byte."""
+    same_array(got.labels, want.labels)
+    same_array(got.weights, want.weights)
+    tables = record_row_tables(records)
+    same_array(groups.query_bags[got.query_code], tables.query_bags[want.query_code])
+    same_array(groups.product_bags[got.product_code], tables.product_bags[want.product_code])
 
 
 def same_grad(got: SparseRowGrad, want: SparseRowGrad) -> None:
@@ -260,7 +276,7 @@ def assert_epochs_equal(recs, cfg, seed, epochs=3):
     groups = group_records(recs)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(epochs):
-        same_sample(sample_epoch(groups, cfg, got_rng), oracle_sample_epoch(recs, cfg, want_rng))
+        same_sample(sample_epoch(groups, cfg, got_rng), groups, oracle_sample_epoch(recs, cfg, want_rng), recs)
     # The raw-word blocks are rewound to the words the per-pick loop uses.
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -354,7 +370,7 @@ class TestSampleEpochOracle:
         assert groups.impressed[groups.impressed_start[0]] == 1
         sample = sample_epoch(groups, TrainConfig(batch_size=4, shuffle=False), np.random.default_rng(5))
         assert sample.labels[:7].tolist() == [P] + [I] * 6
-        assert (sample.product_ids[1:7] == groups.product_bags[groups.product_code[1]]).all()
+        assert (groups.product_bags[sample.product_code[1:7]] == groups.product_bags[groups.product_code[1]]).all()
         assert (sample.weights[1:7] == 2.5).all()
 
     @pytest.mark.parametrize("shuffle", [True, False])
@@ -378,7 +394,7 @@ class TestSampleEpochOracle:
         assert len(groups.catalog_rows) == 5
         sample = sample_epoch(groups, TrainConfig(batch_size=4, shuffle=False), np.random.default_rng(9))
         assert sample.labels[:14].tolist() == [P] + [I] * 6 + [R] * 7
-        assert (sample.product_ids[7:14] == groups.product_bags[4]).all()
+        assert (groups.product_bags[sample.product_code[7:14]] == groups.product_bags[4]).all()
 
     @pytest.mark.parametrize(
         "seed, queries, products",
@@ -540,12 +556,39 @@ def test_trained_checkpoint_equals_oracle_path(monkeypatch, shared, norm):
         return serialize_model(model)
 
     got = trained()
-    monkeypatch.setattr(training, "group_records", lambda records: records)
-    monkeypatch.setattr(training, "sample_epoch", oracle_sample_epoch)
+    monkeypatch.setattr(training, "group_records", record_row_tables)
+    monkeypatch.setattr(
+        training, "sample_epoch", lambda tables, config, rng: oracle_sample_epoch(tables.records, config, rng)
+    )
     monkeypatch.setattr(model_mod, "_pool_backward", oracle_pool_backward)
     monkeypatch.setattr(model_mod, "_merge_sparse", oracle_merge_sparse)
     monkeypatch.setattr(training, "adam_step", oracle_adam_step)
     assert trained() == got
+
+
+@pytest.mark.parametrize("norm", ["batch", "layer"])
+def test_history_counters_equal_direct_count(norm):
+    """Bag 0 of each side is empty, so examples drop on either side; with
+    batches of 4, two of seed 0's three epochs keep 4k + 1 examples, so batch
+    norm skips their final batch of one."""
+    recs = make_records(0, queries=6, products=8, rows=40, purchase_share=0.4)
+    train_cfg = TrainConfig(batch_size=4, epochs=3, seed=0)
+    model = init_model(5, 0, ModelConfig(embedding_dim=4, normalization=norm), np.random.default_rng(0))
+    history = train(recs, model, LossSpec(), train_cfg)
+
+    tables, rng = record_row_tables(recs), np.random.default_rng(train_cfg.seed)
+    dropped = skipped = 0
+    for _ in range(train_cfg.epochs):
+        sample = oracle_sample_epoch(recs, train_cfg, rng)
+        query_empty = ~tables.query_bags[sample.query_code].any(axis=1)
+        product_empty = ~tables.product_bags[sample.product_code].any(axis=1)
+        assert query_empty.any() and product_empty.any()
+        empty = int((query_empty | product_empty).sum())
+        dropped += empty
+        if norm == "batch":
+            skipped += (len(sample.labels) - empty) % train_cfg.batch_size == 1
+    assert (history.dropped_empty, history.skipped_small_batches) == (dropped, skipped)
+    assert dropped > 0 and skipped == (2 if norm == "batch" else 0)
 
 
 # sha256 of save_model's bytes after train, pinned from the per-group
