@@ -3,9 +3,12 @@
 Text is broken into word unigrams, '#'-joined word n-grams, and character
 trigrams. All enabled token classes share one dense id space; tokens that
 miss the vocabulary either map to the reserved id 0 or are hashed into a
-fixed range of out-of-vocabulary bins. Texts are encoded in batches: each
-distinct text is tokenized once, and the batch's distinct misses are hashed
-together.
+fixed range of out-of-vocabulary bins. Texts are encoded in batches, each
+distinct text once. A call whose bags hold fewer than _COLUMN_SLOTS slots,
+such as one query text, is encoded text by text; a larger one class by
+class across blocks of _ENCODE_BLOCK texts, each block's tokens of a class
+listed, looked up and scattered into the bags together and its misses
+hashed together.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -72,6 +75,8 @@ class TokenizerConfig:
             raise ValueError("at least one token class must be enabled")
         if any(n < 2 for n in self.ngram_orders):
             raise ValueError("ngram orders must be >= 2")
+        if len(set(self.ngram_orders)) < len(self.ngram_orders):
+            raise ValueError(f"ngram orders must be distinct, got {','.join(map(str, self.ngram_orders))}")
         if self.oov_bins < 0:
             raise ValueError("oov_bins must be non-negative")
         for side in ("query_max_tokens", "product_max_tokens"):
@@ -131,11 +136,25 @@ def _class_tokens(text: str, config: TokenizerConfig) -> list[tuple[str, list[st
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-# Distinct misses an encode_batch call hashes one by one with fnv1a64 before
-# it defers the rest to one fnv1a64_many, whose fixed cost is about that of
-# this many fnv1a64 calls.
+# fnv1a64_many's fixed cost is about that of this many fnv1a64 calls. The
+# per-text loop hashes this many distinct misses one by one before it defers
+# the rest to one fnv1a64_many; a column block with no more misses than this
+# hashes them one by one.
 _SCALAR_HASHES = 64
-_ENCODE_BLOCK = 256  # texts whose ids are listed in Python before one write
+# Calls whose distinct texts' bags hold fewer slots (texts x L) than this are
+# encoded text by text. The column pass costs a fixed 30-130 us in numpy
+# calls (one unigram class; four classes with OOV bins), and the per-text
+# loop 0.25-1.1 us per slot; they break even at 190-380 slots on the
+# benchmark's three workloads. So one query text stays on the loop, and 20
+# eval queries take the column pass with 40-slot bags but not with 8-slot
+# ones.
+_COLUMN_SLOTS = 256
+# Distinct texts per column pass; a block's tokens are the pass's working
+# memory. On rich-oov's catalog (80-slot bags) blocks of 1024 texts took as
+# long as blocks of 256 and peaked at 10.5 MiB instead of 4.2 under
+# tracemalloc; blocks of 64 took 16% longer there and 50-90% longer on
+# train-std's (12-slot bags), in per-block numpy calls.
+_ENCODE_BLOCK = 256
 
 
 def fnv1a64(data: bytes) -> int:
@@ -264,6 +283,130 @@ def build_vocabulary(
     )
 
 
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]), concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _encode_texts(
+    texts: Sequence[str], bags: np.ndarray, vocab: Vocabulary, config: TokenizerConfig
+) -> None:
+    """Write the bags of distinct texts into the rows of `bags`, text by
+    text: the first _SCALAR_HASHES distinct misses hashed with fnv1a64 as
+    they are met, any later ones together with fnv1a64_many once every text
+    is looked up, their slots holding negative placeholders until then."""
+    max_len = bags.shape[1]
+    tables, v, bins = vocab.ids_by_class, vocab.v, vocab.oov_bins
+    missing = None if bins > 0 else 0  # what a miss looks up to
+    seen: dict[str, dict[str, int]] = {}  # per class: the id or placeholder of each miss so far
+    hashed = 0  # misses hashed as they were met
+    deferred: list[bytes] = []  # the later misses, tagged; placeholder -1 - i for deferred[i]
+    flat: list[int] = []  # the bags, padded
+    for text in texts:
+        room = max_len
+        for token_class, tokens in _class_tokens(text, config):
+            tokens = tokens[:room]
+            ids = list(map(tables.get(token_class, {}).get, tokens, repeat(missing)))
+            room -= len(ids)
+            misses = ids.count(None)
+            if misses:
+                missed = seen.setdefault(token_class, {})
+                j = -1
+                for _ in range(misses):
+                    j = ids.index(None, j + 1)
+                    tid = missed.get(tokens[j])
+                    if tid is None:
+                        data = _tag_byte(token_class) + tokens[j].encode("utf-8")
+                        if hashed < _SCALAR_HASHES:
+                            tid = v + 1 + fnv1a64(data) % bins
+                            hashed += 1
+                        else:
+                            tid = -1 - len(deferred)
+                            deferred.append(data)
+                        missed[tokens[j]] = tid
+                    ids[j] = tid
+            flat += ids
+        flat += [0] * room
+    bags.reshape(-1)[:] = flat
+    if deferred:
+        oov = v + 1 + (fnv1a64_many(deferred) % np.uint64(bins)).astype(np.int64)
+        holes = bags < 0
+        bags[holes] = oov[-1 - bags[holes]]
+
+
+def _encode_columns(
+    texts: Sequence[str], bags: np.ndarray, vocab: Vocabulary, config: TokenizerConfig
+) -> None:
+    """Write the bags of distinct texts into the zeroed rows of `bags`, class
+    by class. The texts are lowercased and split once. Each class's windows
+    over the whole block are cut to the tokens its bags keep by one selector,
+    then joined into tokens and looked up in one pass; the misses of every
+    class are hashed together, and all ids are scattered into the bags at
+    once."""
+    n, max_len = bags.shape
+    classes = config.enabled_classes()
+    if config.lowercase:
+        texts = map(str.lower, texts)
+    words = list(map(str.split, texts))
+    counts = np.fromiter(map(len, words), dtype=np.int64, count=n)
+    flat_words = list(chain.from_iterable(words))
+    first = np.cumsum(counts) - counts  # each text's first word in flat_words
+    # Per class: its windows over the block, what joins a window into a
+    # token, how many windows there are, and per text how many of them lie
+    # inside it and where the first of them is.
+    specs = []
+    for token_class in classes:
+        if token_class == UNIGRAM:
+            specs.append((flat_words, None, len(flat_words), counts, first))
+        elif token_class == CHAR_TRIGRAM:
+            joined = list(map("#".join, words))
+            lengths = np.fromiter(map(len, joined), dtype=np.int64, count=n)
+            wrapped = np.where(counts > 0, lengths + 2, 0)  # "#" + joined + "#", or nothing
+            chars = "".join(["#" + j + "#" for j in joined if j])
+            windows = zip(chars, chars[1:], chars[2:])
+            specs.append((windows, "".join, max(len(chars) - 2, 0), lengths, np.cumsum(wrapped) - wrapped))
+        else:
+            order = int(token_class.removeprefix("ngram"))
+            windows = zip(*[flat_words[i:] for i in range(order)])
+            inside = np.maximum(counts - (order - 1), 0)
+            specs.append((windows, "#".join, max(len(flat_words) - order + 1, 0), inside, first))
+    windows, joins, widths, available, starts = zip(*specs)
+    available = np.array(available)  # (classes, n)
+    cut = np.cumsum(available, axis=0)
+    ends = np.minimum(cut, max_len)  # slots of each bag filled through each class
+    kept = ends - np.minimum(cut - available, max_len)  # tokens of each class each bag keeps
+    base = np.cumsum(widths) - widths  # each class's first window in the selector
+    selector = np.zeros(sum(widths), dtype=np.bool_)
+    selector[_runs((np.array(starts) + base[:, None]).ravel(), kept.ravel())] = True
+    selector = selector.tobytes()
+    missing = -1 if vocab.oov_bins > 0 else 0  # what a miss looks up to
+    # Each miss is hashed where it occurs. On rich-oov's catalog 87% of a
+    # block's misses are distinct, and finding the distinct ones first made
+    # encoding it 15% slower.
+    ids, holes, missed = [], [], []
+    listed = 0  # ids of earlier classes
+    for token_class, source, join, start, width in zip(classes, windows, joins, base.tolist(), widths):
+        tokens = compress(source, selector[start : start + width])
+        tokens = list(tokens if join is None else map(join, tokens))
+        lookup = vocab.ids_by_class.get(token_class, {}).get
+        ids.append(np.fromiter(map(lookup, tokens, repeat(missing)), dtype=np.int64, count=len(tokens)))
+        if vocab.oov_bins > 0:
+            at = np.flatnonzero(ids[-1] < 0)
+            holes.append(at + listed)
+            missed += map(_tag_byte(token_class).__add__, map(str.encode, map(tokens.__getitem__, at.tolist())))
+        listed += len(tokens)
+    ids = np.concatenate(ids)
+    if missed:
+        if len(missed) > _SCALAR_HASHES:
+            hashes = fnv1a64_many(missed)
+        else:
+            hashes = np.fromiter(map(fnv1a64, missed), dtype=np.uint64, count=len(missed))
+        ids[np.concatenate(holes)] = vocab.v + 1 + (hashes % np.uint64(vocab.oov_bins)).astype(np.int64)
+    row_start = np.arange(0, n * max_len, max_len)
+    bags.reshape(-1)[_runs((row_start + ends - kept).ravel(), kept.ravel())] = ids
+
+
 def encode_batch(
     texts: Sequence[str], side: str, vocab: Vocabulary, config: TokenizerConfig
 ) -> np.ndarray:
@@ -271,55 +414,22 @@ def encode_batch(
     right-padded with 0.
 
     Each distinct text is tokenized once and its bag cut at L before lookup.
-    A token that misses the vocabulary maps to 0 without OOV bins. With
-    them, each distinct (class, token) miss of the call is hashed once
-    (class tag byte + UTF-8 token): the first _SCALAR_HASHES with fnv1a64
-    as they are met, any later ones together with fnv1a64_many once every
-    text is looked up, their slots holding negative placeholders until
-    then."""
+    A token that misses the vocabulary maps to 0 without OOV bins; with
+    them, to the bin of the fnv1a64 hash of its class tag byte and UTF-8
+    bytes. Calls whose bags hold fewer than _COLUMN_SLOTS slots are encoded
+    text by text, larger ones class by class, _ENCODE_BLOCK texts at a
+    time."""
     max_len = vocab.max_tokens(side, config)
     row_of: dict[str, int] = {}
     rows = [row_of.setdefault(text, len(row_of)) for text in texts]
     distinct = list(row_of)
-    bags = np.empty((len(distinct), max_len), dtype=np.int64)
-    flat_bags = bags.reshape(-1)
-    tables, v, bins = vocab.ids_by_class, vocab.v, vocab.oov_bins
-    missing = None if bins > 0 else 0  # what a miss looks up to
-    seen: dict[str, dict[str, int]] = {}  # per class: the id or placeholder of each miss so far
-    hashed = 0  # misses hashed as they were met
-    deferred: list[bytes] = []  # the later misses, tagged; placeholder -1 - i for deferred[i]
-    for start in range(0, len(distinct), _ENCODE_BLOCK):
-        flat: list[int] = []  # the block's bags, padded
-        for text in distinct[start : start + _ENCODE_BLOCK]:
-            room = max_len
-            for token_class, tokens in _class_tokens(text, config):
-                tokens = tokens[:room]
-                ids = list(map(tables.get(token_class, {}).get, tokens, repeat(missing)))
-                room -= len(ids)
-                misses = ids.count(None)
-                if misses:
-                    missed = seen.setdefault(token_class, {})
-                    j = -1
-                    for _ in range(misses):
-                        j = ids.index(None, j + 1)
-                        tid = missed.get(tokens[j])
-                        if tid is None:
-                            data = _tag_byte(token_class) + tokens[j].encode("utf-8")
-                            if hashed < _SCALAR_HASHES:
-                                tid = v + 1 + fnv1a64(data) % bins
-                                hashed += 1
-                            else:
-                                tid = -1 - len(deferred)
-                                deferred.append(data)
-                            missed[tokens[j]] = tid
-                        ids[j] = tid
-                flat += ids
-            flat += [0] * room
-        flat_bags[start * max_len : start * max_len + len(flat)] = flat
-    if deferred:
-        oov = v + 1 + (fnv1a64_many(deferred) % np.uint64(bins)).astype(np.int64)
-        holes = bags < 0
-        bags[holes] = oov[-1 - bags[holes]]
+    bags = np.zeros((len(distinct), max_len), dtype=np.int64)
+    if len(distinct) * max_len < _COLUMN_SLOTS:
+        _encode_texts(distinct, bags, vocab, config)
+    else:
+        for start in range(0, len(distinct), _ENCODE_BLOCK):
+            block = slice(start, start + _ENCODE_BLOCK)
+            _encode_columns(distinct[block], bags[block], vocab, config)
     return bags if len(distinct) == len(rows) else bags[rows]
 
 

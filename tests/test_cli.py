@@ -305,6 +305,17 @@ class TestErrors:
         assert run(["gen-synthetic", "--config", bad, "--out", tmp_path / "d"]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_repeated_ngram_order_exits_one(self, workspace, tmp_path):
+        data, cfg = workspace
+        assert run(["gen-synthetic", "--config", cfg, "--out", data / "data"]) == 0
+        repeated = tmp_path / "repeated.cfg"
+        repeated.write_text(CONFIG + "tokenizer.ngram_orders = 2,2\ntokenizer.budget.ngram2 = 50\n")
+        vocab = tmp_path / "vocab.txt"
+        status, err = run_quiet(["build-vocab", "--input", data / "data" / "logs.tsv", "--config", repeated,
+                                 "--out", vocab])
+        assert (status, err) == (1, ["error: ngram orders must be distinct, got 2,2"])
+        assert not vocab.exists()
+
     @pytest.mark.parametrize("key", ["eval_queries", "phrase_pairs"])
     def test_negative_synth_count_exits_one(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"

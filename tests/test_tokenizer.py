@@ -1,6 +1,7 @@
 """Tokenizer, vocabulary, and OOV hashing tests."""
 
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -111,6 +112,13 @@ class TestTokenize:
     def test_config_requires_some_class(self):
         with pytest.raises(ValueError):
             TokenizerConfig(use_unigrams=False)
+
+    @pytest.mark.parametrize("orders", [(2, 2), (3, 2, 3)])
+    def test_config_rejects_repeated_ngram_orders(self, orders):
+        """A repeated order would list each of its n-grams twice in a bag and
+        give the vocabulary more ids than records."""
+        with pytest.raises(ValueError, match="ngram orders must be distinct"):
+            TokenizerConfig(ngram_orders=orders, budget_per_class={ngram_class(n): 5 for n in orders})
 
     @given(st.text(max_size=60))
     @settings(max_examples=200, deadline=None)
@@ -393,7 +401,9 @@ class TestEncode:
 
 # Words that hit and miss a small vocabulary: Unicode letters, '#' inside a
 # word, digits and repeats, so bags hold n-grams and trigrams of all kinds.
-WORDS = ["red", "Red", "shoe", "sale", "x", "#", "a#b", "ü", "Straße", "ß", "日本", "model99", "shoe#"]
+# "İ" lowercases to two code points and "ΟΔΟΣ" to a final sigma that
+# depends on the letters around it.
+WORDS = ["red", "Red", "shoe", "sale", "x", "#", "a#b", "ü", "Straße", "ß", "日本", "model99", "shoe#", "İ", "ΟΔΟΣ"]
 SPACES = [" ", "  ", "\t", "\n", " ", "　", " \t "]
 
 
@@ -432,13 +442,23 @@ def encode_cases(draw):
 
 
 class TestEncodeBatch:
-    @settings(max_examples=300, deadline=None)
-    @given(case=encode_cases(), scalar_hashes=st.sampled_from([0, 1, 3, tokenizer._SCALAR_HASHES]))
-    def test_equals_per_text_oracle(self, case, scalar_hashes):
-        """Rows equal the per-text encoder's, whether the misses are hashed
-        one by one, all together, or some each way."""
+    @settings(max_examples=500, deadline=None)
+    @given(
+        case=encode_cases(),
+        scalar_hashes=st.sampled_from([0, 1, 3, tokenizer._SCALAR_HASHES]),
+        column_slots=st.sampled_from([0, 1, 30, 90, tokenizer._COLUMN_SLOTS]),
+        block=st.sampled_from([1, 2, tokenizer._ENCODE_BLOCK]),
+    )
+    def test_equals_per_text_oracle(self, case, scalar_hashes, column_slots, block):
+        """Rows equal the per-text encoder's, whether the texts are encoded one
+        by one or class by class, in blocks of any size, and whether the
+        misses are hashed one by one, all together, or some each way."""
         cfg, vocab, texts, side = case
-        with mock.patch.object(tokenizer, "_SCALAR_HASHES", scalar_hashes):
+        with (
+            mock.patch.object(tokenizer, "_SCALAR_HASHES", scalar_hashes),
+            mock.patch.object(tokenizer, "_COLUMN_SLOTS", column_slots),
+            mock.patch.object(tokenizer, "_ENCODE_BLOCK", block),
+        ):
             got = encode_batch(texts, side, vocab, cfg)
         want = encode_oracle.encode_batch(texts, side, vocab, cfg)
         assert got.dtype == np.int64
@@ -466,6 +486,38 @@ class TestEncodeBatch:
             got = encode_batch(texts, side, vocab, cfg)
             assert got.tobytes() == encode_oracle.encode_batch(texts, side, vocab, cfg).tobytes()
         assert np.count_nonzero(got[:-3] > vocab.v) > tokenizer._SCALAR_HASHES
+
+    def test_memory_grows_with_the_block_not_the_call(self):
+        """Encoding 4x as many long texts raises the tracemalloc peak by the
+        extra bags and a little bookkeeping per text (its row number and its
+        entry in the call's text-to-row map), not by their tokens: the column
+        pass holds one block's tokens at a time. A block of 16 texts keeps
+        the traced calls short."""
+        cfg = TokenizerConfig(
+            use_unigrams=True,
+            ngram_orders=(2, 3),
+            use_char_trigrams=True,
+            budget_per_class={UNIGRAM: 20, ngram_class(2): 20, ngram_class(3): 20, CHAR_TRIGRAM: 20},
+            oov_bins=1000,
+            query_max_tokens=4,
+            product_max_tokens=100,
+        )
+        vocab = build_vocabulary(_corpus(["red shoe sale", "blue shoe"]), cfg)
+        block = 16
+        texts = [" ".join(f"red{i:03}x{j} shoe" for j in range(8)) for i in range(8 * block)]  # one length
+
+        def peak(count: int) -> int:
+            batch = texts[:count]
+            with mock.patch.object(tokenizer, "_ENCODE_BLOCK", block):
+                tracemalloc.start()
+                try:
+                    encode_batch(batch, "product", vocab, cfg)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        extra = 6 * block  # texts
+        assert peak(8 * block) - peak(2 * block) < extra * (100 * 8 + 256)  # int64 bag + bookkeeping
 
     def test_empty_batch(self):
         cfg = TokenizerConfig(budget_per_class={UNIGRAM: 5}, oov_bins=3, query_max_tokens=4)
