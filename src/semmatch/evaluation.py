@@ -10,6 +10,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .atomic import atomic_write
 from .index import ProductIndex, _embed_texts
 from .model import EmbeddingModel
 from .synth import LogRecord
@@ -20,7 +21,6 @@ _SCORE_BLOCK = 2**20  # scores per matrix product in the matching eval: 8 MB of 
 
 @dataclass
 class EvalQuery:
-    query_id: str
     text: str
     purchased: dict[str, int]  # product id -> purchase count
     impressed: set[str]
@@ -29,22 +29,17 @@ class EvalQuery:
 def load_eval_queries(logs: Iterable[LogRecord]) -> list[EvalQuery]:
     """Group log records by query text; purchased wins over impressed."""
     by_query: dict[str, EvalQuery] = {}
-    order: list[str] = []
     for rec in logs:
         q = by_query.get(rec.query)
         if q is None:
-            q = EvalQuery(
-                query_id=f"q{len(order):05d}", text=rec.query, purchased={}, impressed=set()
-            )
-            by_query[rec.query] = q
-            order.append(rec.query)
+            q = by_query[rec.query] = EvalQuery(text=rec.query, purchased={}, impressed=set())
         if rec.label == "purchased":
             q.purchased[rec.product_id] = q.purchased.get(rec.product_id, 0) + rec.count
         else:
             q.impressed.add(rec.product_id)
     for q in by_query.values():
         q.impressed -= set(q.purchased)
-    return [by_query[t] for t in order]
+    return list(by_query.values())
 
 
 def positions(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -218,7 +213,7 @@ def write_metrics_file(path: str, reports: list[MetricReport]) -> None:
     merged: dict[str, float] = {}
     for r in reports:
         merged.update(r.means)
-    with open(path, "w") as f:
+    with atomic_write(path, "w") as f:
         for name in sorted(merged):
             f.write(f"{name} = {merged[name]!r}\n")
         f.write(f"queries_evaluated = {sum(r.evaluated for r in reports)}\n")

@@ -5,10 +5,11 @@ trigrams. All enabled token classes share one dense id space; tokens that
 miss the vocabulary either map to the reserved id 0 or are hashed into a
 fixed range of out-of-vocabulary bins. Texts are encoded in batches, each
 distinct text once. A call whose bags hold fewer than _COLUMN_SLOTS slots,
-such as one query text, is encoded text by text; a larger one class by
-class across blocks of _ENCODE_BLOCK texts, each block's tokens of a class
-listed, looked up and scattered into the bags together and its misses
-hashed together.
+such as one query text, is encoded text by text, each miss hashed with
+fnv1a64 where it is met; a larger one class by class across blocks of
+_ENCODE_BLOCK texts, each block's tokens of a class listed, looked up and
+scattered into the bags together and its misses hashed with one
+fnv1a64_many.
 """
 
 from __future__ import annotations
@@ -136,11 +137,6 @@ def _class_tokens(text: str, config: TokenizerConfig) -> list[tuple[str, list[st
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-# fnv1a64_many's fixed cost is about that of this many fnv1a64 calls. The
-# per-text loop hashes this many distinct misses one by one before it defers
-# the rest to one fnv1a64_many; a column block with no more misses than this
-# hashes them one by one.
-_SCALAR_HASHES = 64
 # Calls whose distinct texts' bags hold fewer slots (texts x L) than this are
 # encoded text by text. The column pass costs a fixed 30-130 us in numpy
 # calls (one unigram class; four classes with OOV bins), and the per-text
@@ -293,15 +289,10 @@ def _encode_texts(
     texts: Sequence[str], bags: np.ndarray, vocab: Vocabulary, config: TokenizerConfig
 ) -> None:
     """Write the bags of distinct texts into the rows of `bags`, text by
-    text: the first _SCALAR_HASHES distinct misses hashed with fnv1a64 as
-    they are met, any later ones together with fnv1a64_many once every text
-    is looked up, their slots holding negative placeholders until then."""
+    text, each miss hashed with fnv1a64 where it is met."""
     max_len = bags.shape[1]
     tables, v, bins = vocab.ids_by_class, vocab.v, vocab.oov_bins
     missing = None if bins > 0 else 0  # what a miss looks up to
-    seen: dict[str, dict[str, int]] = {}  # per class: the id or placeholder of each miss so far
-    hashed = 0  # misses hashed as they were met
-    deferred: list[bytes] = []  # the later misses, tagged; placeholder -1 - i for deferred[i]
     flat: list[int] = []  # the bags, padded
     for text in texts:
         room = max_len
@@ -309,30 +300,12 @@ def _encode_texts(
             tokens = tokens[:room]
             ids = list(map(tables.get(token_class, {}).get, tokens, repeat(missing)))
             room -= len(ids)
-            misses = ids.count(None)
-            if misses:
-                missed = seen.setdefault(token_class, {})
-                j = -1
-                for _ in range(misses):
-                    j = ids.index(None, j + 1)
-                    tid = missed.get(tokens[j])
-                    if tid is None:
-                        data = _tag_byte(token_class) + tokens[j].encode("utf-8")
-                        if hashed < _SCALAR_HASHES:
-                            tid = v + 1 + fnv1a64(data) % bins
-                            hashed += 1
-                        else:
-                            tid = -1 - len(deferred)
-                            deferred.append(data)
-                        missed[tokens[j]] = tid
-                    ids[j] = tid
+            if None in ids:
+                tag = _tag_byte(token_class)
+                ids = [v + 1 + fnv1a64(tag + t.encode()) % bins if i is None else i for i, t in zip(ids, tokens)]
             flat += ids
         flat += [0] * room
     bags.reshape(-1)[:] = flat
-    if deferred:
-        oov = v + 1 + (fnv1a64_many(deferred) % np.uint64(bins)).astype(np.int64)
-        holes = bags < 0
-        bags[holes] = oov[-1 - bags[holes]]
 
 
 def _encode_columns(
@@ -342,8 +315,8 @@ def _encode_columns(
     by class. The texts are lowercased and split once. Each class's windows
     over the whole block are cut to the tokens its bags keep by one selector,
     then joined into tokens and looked up in one pass; the misses of every
-    class are hashed together, and all ids are scattered into the bags at
-    once."""
+    class are hashed with one fnv1a64_many, and all ids are scattered into
+    the bags at once."""
     n, max_len = bags.shape
     classes = config.enabled_classes()
     if config.lowercase:
@@ -398,10 +371,7 @@ def _encode_columns(
         listed += len(tokens)
     ids = np.concatenate(ids)
     if missed:
-        if len(missed) > _SCALAR_HASHES:
-            hashes = fnv1a64_many(missed)
-        else:
-            hashes = np.fromiter(map(fnv1a64, missed), dtype=np.uint64, count=len(missed))
+        hashes = fnv1a64_many(missed)
         ids[np.concatenate(holes)] = vocab.v + 1 + (hashes % np.uint64(vocab.oov_bins)).astype(np.int64)
     row_start = np.arange(0, n * max_len, max_len)
     bags.reshape(-1)[_runs((row_start + ends - kept).ravel(), kept.ravel())] = ids
@@ -417,8 +387,9 @@ def encode_batch(
     A token that misses the vocabulary maps to 0 without OOV bins; with
     them, to the bin of the fnv1a64 hash of its class tag byte and UTF-8
     bytes. Calls whose bags hold fewer than _COLUMN_SLOTS slots are encoded
-    text by text, larger ones class by class, _ENCODE_BLOCK texts at a
-    time."""
+    text by text, each miss hashed with fnv1a64 where it is met; larger
+    ones class by class, _ENCODE_BLOCK texts at a time, each block's misses
+    hashed with one fnv1a64_many."""
     max_len = vocab.max_tokens(side, config)
     row_of: dict[str, int] = {}
     rows = [row_of.setdefault(text, len(row_of)) for text in texts]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metric_oracle import average_precision, mrr, ndcg, recall_at_k
-from semmatch.evaluation import EvalQuery, MetricReport, load_eval_queries
+from semmatch.evaluation import EvalQuery, MetricReport, load_eval_queries, write_metrics_file
 from semmatch.synth import LogRecord
 
 
@@ -142,3 +142,18 @@ class TestLoadEvalQueries:
         report.finalize()
         assert report.means["recall"] == 0.5
         assert report.evaluated == 2
+
+
+class TestWriteMetricsFile:
+    def test_failed_write_leaves_the_previous_file(self, tmp_path):
+        """A write that raises after the metric lines leaves the previous
+        file whole and no temporary file beside it."""
+        path = tmp_path / "metrics.txt"
+        write_metrics_file(str(path), [MetricReport(means={"recall": 0.5}, evaluated=2)])
+        before = path.read_text()
+        assert before == "recall = 0.5\nqueries_evaluated = 2\nqueries_skipped = 0\n"
+        bad = MetricReport(means={"recall": 0.25}, evaluated="two")  # queries_evaluated's sum raises
+        with pytest.raises(TypeError):
+            write_metrics_file(str(path), [bad])
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.txt"]

@@ -66,7 +66,7 @@ def eval_queries(seed, index):
         purchased = {index.ids[i]: 1 for i in picks}
         if n == 2:
             purchased["not-in-index"] = 1
-        queries.append(EvalQuery(f"q{n}", text, purchased, set()))
+        queries.append(EvalQuery(text, purchased, set()))
     return queries
 
 
@@ -125,7 +125,7 @@ class TestMatchingEval:
     def test_k_below_one_rejected_without_purchases(self, model_vocab, k):
         model, vocab = model_vocab
         index = tied_index(0, 10, model, vocab)
-        queries = [EvalQuery("q0", "red shoe", {}, {"p1"})]
+        queries = [EvalQuery("red shoe", {}, {"p1"})]
         with pytest.raises(ValueError, match="k must be >= 1"):
             run_matching_eval(queries, index, model, vocab, TC, k=k)
 
@@ -146,7 +146,7 @@ def many_queries(seed, index, count):
     queries = []
     for n in range(count):
         picks = rng.choice(len(index.ids), size=min(len(index.ids), n % 4), replace=False)
-        queries.append(EvalQuery(f"q{n}", QUERIES[n % len(QUERIES)], {index.ids[i]: 1 for i in picks}, set()))
+        queries.append(EvalQuery(QUERIES[n % len(QUERIES)], {index.ids[i]: 1 for i in picks}, set()))
     return queries
 
 
@@ -240,7 +240,7 @@ class TestBlockedScoring:
         model, vocab = model_vocab
         texts = [t for t in QUERIES if t]  # an empty query scores every product 0
         index = untied_index(9, 50, model.n)
-        queries = [EvalQuery(f"q{n}", t, {index.ids[n]: 1, index.ids[10 + n]: 1}, set()) for n, t in enumerate(texts)]
+        queries = [EvalQuery(t, {index.ids[n]: 1, index.ids[10 + n]: 1}, set()) for n, t in enumerate(texts)]
         got = run_matching_eval(queries, index, model, vocab, TC, k=5)
         assert fallbacks == []
         assert_same_report(got, oracle_matching_eval(queries, index, model, vocab, TC, k=5))
@@ -268,7 +268,7 @@ class TestBlockedScoring:
         matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
         matrix[1] = matrix[0, [1, 0, *range(2, dim)]]
         index = ProductIndex.from_ids(ids=[f"p{j}" for j in range(8)], matrix=matrix, fingerprint=b"\0" * 32)
-        queries = [EvalQuery(f"q{n}", "red", {index.ids[0]: 1}, set()) for n in range(4)]
+        queries = [EvalQuery("red", {index.ids[0]: 1}, set()) for _ in range(4)]
         with mock.patch.object(evaluation, "_embed_texts", lambda *args: qvecs):
             got = run_matching_eval(queries, index, model, vocab, TC, k=5)
         _, order = oracle_order(qvecs[0], index)
@@ -288,7 +288,7 @@ class TestBlockedScoring:
         matrix[1, 0], matrix[2, 0] = edge, 1.0  # row 0 scores 0, the purchase
         index = ProductIndex.from_ids(ids=["a", "b", "c"], matrix=matrix, fingerprint=b"\0" * 32)
         monkeypatch.setattr(evaluation, "_embed_texts", lambda *args: qvec)
-        got = run_matching_eval([EvalQuery("q0", "red", {"a": 1}, set())], index, model, vocab, TC, k=5)
+        got = run_matching_eval([EvalQuery("red", {"a": 1}, set())], index, model, vocab, TC, k=5)
         assert fallbacks == ([] if beyond else [[0]])
         assert got.per_query["matching_mrr"] == [1 / 3]
 
@@ -303,7 +303,7 @@ def ranking_queries(seed, ids):
         role = rng.integers(0, 3, size=len(ids))
         purchased = {pid: int(c) for pid, r, c in zip(ids, role, rng.integers(1, 5, size=len(ids))) if r == 0}
         impressed = {pid for pid, r in zip(ids, role) if r == 1}
-        queries.append(EvalQuery(f"q{n}", text, purchased, impressed))
+        queries.append(EvalQuery(text, purchased, impressed))
     return queries
 
 

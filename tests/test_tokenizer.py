@@ -1,6 +1,7 @@
 """Tokenizer, vocabulary, and OOV hashing tests."""
 
 import io
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -445,17 +446,14 @@ class TestEncodeBatch:
     @settings(max_examples=500, deadline=None)
     @given(
         case=encode_cases(),
-        scalar_hashes=st.sampled_from([0, 1, 3, tokenizer._SCALAR_HASHES]),
         column_slots=st.sampled_from([0, 1, 30, 90, tokenizer._COLUMN_SLOTS]),
         block=st.sampled_from([1, 2, tokenizer._ENCODE_BLOCK]),
     )
-    def test_equals_per_text_oracle(self, case, scalar_hashes, column_slots, block):
+    def test_equals_per_text_oracle(self, case, column_slots, block):
         """Rows equal the per-text encoder's, whether the texts are encoded one
-        by one or class by class, in blocks of any size, and whether the
-        misses are hashed one by one, all together, or some each way."""
+        by one or class by class, in blocks of any size."""
         cfg, vocab, texts, side = case
         with (
-            mock.patch.object(tokenizer, "_SCALAR_HASHES", scalar_hashes),
             mock.patch.object(tokenizer, "_COLUMN_SLOTS", column_slots),
             mock.patch.object(tokenizer, "_ENCODE_BLOCK", block),
         ):
@@ -468,8 +466,8 @@ class TestEncodeBatch:
             assert encode(text, side, vocab, cfg).ids.tobytes() == row.tobytes()
 
     def test_many_misses_hashed_together_equal_oracle(self):
-        """More distinct misses than _SCALAR_HASHES, at the real constant, in
-        every class; bags cut exactly at L and longer."""
+        """Over 64 distinct misses in every class, at the real path
+        selection; bags cut exactly at L and longer."""
         cfg = TokenizerConfig(
             use_unigrams=True,
             ngram_orders=(2, 3),
@@ -480,12 +478,37 @@ class TestEncodeBatch:
             product_max_tokens=60,
         )
         vocab = build_vocabulary(_corpus(["red shoe sale", "blue shoe"]), cfg)
-        texts = [f"red w{i} shoe v{i * 7} sale" for i in range(3 * tokenizer._SCALAR_HASHES)]
+        texts = [f"red w{i} shoe v{i * 7} sale" for i in range(192)]
         texts += ["", "red shoe sale", texts[5]]
         for side in ("query", "product"):
             got = encode_batch(texts, side, vocab, cfg)
             assert got.tobytes() == encode_oracle.encode_batch(texts, side, vocab, cfg).tobytes()
-        assert np.count_nonzero(got[:-3] > vocab.v) > tokenizer._SCALAR_HASHES
+        assert np.count_nonzero(got[:-3] > vocab.v) > 64
+
+    def test_one_text_hashes_each_miss_with_the_scalar_hash(self):
+        """A one-text call takes the per-text loop, which hashes every miss
+        with fnv1a64, however many distinct misses its bag holds."""
+        cfg = TokenizerConfig(budget_per_class={UNIGRAM: 5}, oov_bins=97, query_max_tokens=200)
+        vocab = build_vocabulary(_corpus(["red shoe sale"]), cfg)
+        text = " ".join(f"w{i}" for i in range(200))
+        with mock.patch.object(tokenizer, "fnv1a64_many", side_effect=AssertionError("fnv1a64_many called")):
+            got = encode_batch([text], "query", vocab, cfg)
+        assert got.tobytes() == encode_oracle.encode_batch([text], "query", vocab, cfg).tobytes()
+        assert len(set(got[0].tolist())) > 64
+
+    def test_column_block_hashes_its_misses_together(self):
+        """A column call hashes a block's misses with one fnv1a64_many, even
+        when the block has a single miss."""
+        cfg = TokenizerConfig(budget_per_class={UNIGRAM: 5}, oov_bins=97, query_max_tokens=4)
+        words = ["red", "shoe", "sale", "blue"]
+        vocab = build_vocabulary(_corpus([" ".join(words)]), cfg)
+        texts = [" ".join(ws) for ws in itertools.product(words, repeat=4)][:100]
+        texts[37] = "red zzz shoe sale"
+        with mock.patch.object(tokenizer, "fnv1a64_many", wraps=fnv1a64_many) as spy:
+            got = encode_batch(texts, "query", vocab, cfg)
+        assert got.tobytes() == encode_oracle.encode_batch(texts, "query", vocab, cfg).tobytes()
+        assert spy.call_count == 1
+        assert list(spy.call_args.args[0]) == [b"\x01zzz"]
 
     def test_memory_grows_with_the_block_not_the_call(self):
         """Encoding 4x as many long texts raises the tracemalloc peak by the
@@ -527,13 +550,13 @@ class TestEncodeBatch:
 
 class TestFnv1a64Many:
     @settings(max_examples=200, deadline=None)
-    @given(data=st.lists(st.binary(max_size=40), max_size=3 * tokenizer._SCALAR_HASHES))
+    @given(data=st.lists(st.binary(max_size=40), max_size=192))
     def test_equals_scalar(self, data):
         got = fnv1a64_many(data)
         assert got.dtype == np.uint64
         assert got.tolist() == [fnv1a64(d) for d in data]
 
-    @pytest.mark.parametrize("count", [0, 1] + [tokenizer._SCALAR_HASHES + d for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65])
     def test_counts_around_the_selection(self, count):
         rng = np.random.default_rng(count)
         data = [b""] + [rng.bytes(int(n)) for n in rng.integers(0, 30, size=count)]
