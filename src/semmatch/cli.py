@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -132,8 +133,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    import os
-
     cfg = _load_cfg(args.config)
     vocab, model = _load_vocab_and_model(args)
     with open(os.path.join(args.data, "catalog.tsv")) as f:
@@ -157,6 +156,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         reports.append(
             evaluation.run_ranking_eval(queries, texts, model, vocab, cfg.tokenizer)
         )
+    _log(f"evaluated: {logs_path}")
     print(evaluation.format_report(reports))
     if args.out:
         evaluation.write_metrics_file(args.out, reports)

@@ -10,9 +10,10 @@ followed by a shuffle (Bentley & Floyd, *A Sample of Brilliance*, CACM
 ranges. `Draws` reads the words one block at a time and returns the same
 values without a numpy call per value; `sync()` then leaves the generator
 exactly where the per-call draws would have left it. `below_many` serves a
-whole array of `below` picks at once, each drawn again while it lands in an
-excluded set: it computes every pick's Lemire step from its own word and
-accepts the run before the first rejection.
+whole array of `below` picks, each drawn again while it lands in an
+excluded set: per chunk of picks, one vectorised pass computes every pick's
+Lemire step from its own word and keeps the run before the first failure,
+and a per-pick loop draws the rest of the chunk.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 _BLOCK = 4096
+# Picks per vectorised pass of `below_many`. Of 256, 512 and 1024, 512 was
+# the fastest, or within noise of it, on the benchmark workloads' epochs: a
+# longer chunk draws more picks one by one after a failure, a shorter one
+# pays for more passes.
+_CHUNK = 512
 _WORD = 1 << 32
 _LOW = _WORD - 1
 
@@ -41,7 +47,9 @@ class Draws:
     def _refill(self) -> None:
         if not self._drawn:
             self._start = self._rng.bit_generator.state
-        self._block = self._rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32)
+        # Unused words stay in front, so a chunk's words are contiguous.
+        fresh = self._rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32)
+        self._block = np.concatenate((self._block[self._pos :], fresh))
         self._words = self._block.tolist()
         self._pos = 0
         self._drawn += _BLOCK
@@ -82,80 +90,50 @@ class Draws:
                 while h > 1 and offsets[i] >= 0 and offsets[i] + v in excluded:
                     v = below(h)
 
-        A pass computes a chunk of picks at once, each pick with h > 1 from
-        its own word, and accepts the run before the first pick that fails,
-        by Lemire's rejection or by exclusion. The failed pick spends its
-        word, the picks after it give theirs back, and the next pass starts
-        at it. Chunks start at 4096 picks and shrink after a failure to about
-        twice the run it ended. A pick that fails again as the first of its
-        pass is served, with the picks alike to it that follow (same bound
-        and offset), from the next words in one step: each word is tested
-        against their common bound and offset, and the words that pass go
-        to them in order. So frequent failures recompute neither long chunks
-        nor one chunk per failure."""
+        The picks are served in chunks of `_CHUNK`. One vectorised pass
+        computes every pick of a chunk from its own word (a pick with h == 1
+        takes none) and keeps the run before the first pick that fails, by
+        Lemire's rejection or by exclusion. The loop above serves the rest of
+        the chunk, starting from the failed pick's word."""
         h = np.asarray(bounds, dtype=np.int64)
         if h.size and not (1 <= h.min() and h.max() <= _WORD):
             raise ValueError(f"a bound is outside [1, 2**32]: {h.min()}..{h.max()}")
         n = h.size
         offsets = np.full(n, -1, dtype=np.int64) if offsets is None else np.asarray(offsets, dtype=np.int64)
         excluded = np.empty(0, dtype=np.int64) if excluded is None else np.asarray(excluded, dtype=np.int64)
-        h = h.astype(np.uint64)
-        takes = h > 1
-        threshold = np.uint64(_WORD) % h
-        # words_before[i]: words the picks before i take when none fails.
-        words_before = np.concatenate(([0], np.cumsum(takes)))
-        # Picks alike to the one before them start no new run.
-        run_ends = np.append(np.flatnonzero((h[1:] != h[:-1]) | (offsets[1:] != offsets[:-1])) + 1, n)
-
-        def failing(words, bound, threshold, offset) -> tuple[np.ndarray, np.ndarray]:
-            """Values of `bound` from `words`, and which of them fail."""
-            m = words.astype(np.uint64) * bound
-            values = (m >> 32).astype(np.int64)
-            keys = offset + values
-            at = np.minimum(np.searchsorted(excluded, keys), excluded.size - 1)
-            hit = (offset >= 0) & (excluded[at] == keys) if excluded.size else False
-            return values, (m & _LOW < threshold) | hit
-
+        banned: set[int] | None = None
         out = np.empty(n, dtype=np.int64)
-        start, size, alike_end = 0, _BLOCK, 0
-        while start < n:
-            if self._pos == len(self._words) and takes[start]:
+        for start in range(0, n, _CHUNK):
+            end = min(start + _CHUNK, n)
+            bound, offset = h[start:end], offsets[start:end]
+            takes = bound > 1
+            count = int(np.count_nonzero(takes))
+            if len(self._words) - self._pos < count:
                 self._refill()
-            first, left = self._pos, len(self._words) - self._pos
-            if start < alike_end:
-                # Serve the picks alike to the one that failed: each takes
-                # the next word that passes their common test.
-                count = alike_end - start
-                take = min(left, 64 * count)
-                values, failed = failing(
-                    self._block[first : first + take], h[start], threshold[start], offsets[start]
-                )
-                passed = np.flatnonzero(~failed)[:count]
-                out[start : start + passed.size] = values[passed]
-                self._pos += int(passed[-1]) + 1 if passed.size == count else take
-                start += passed.size
-                continue
-            end = min(
-                start + size,
-                int(np.searchsorted(words_before, words_before[start] + left, side="right")) - 1,
-            )
-            picks = slice(start, end)
-            word = takes[picks]
-            self._pos += int(words_before[end] - words_before[start])
+            bound = bound[takes].astype(np.uint64)
+            m = self._block[self._pos : self._pos + count].astype(np.uint64) * bound
             values = np.zeros(end - start, dtype=np.int64)
+            values[takes] = m >> 32
             failed = np.zeros(end - start, dtype=bool)
-            values[word], failed[word] = failing(
-                self._block[first : self._pos], h[picks][word], threshold[picks][word], offsets[picks][word]
-            )
-            fail = int(failed.argmax()) if failed.any() else end - start
-            out[start : start + fail] = values[:fail]
-            if fail == end - start:
-                start, size = end, min(2 * size, _BLOCK)
+            failed[takes] = m & _LOW < np.uint64(_WORD) % bound
+            if excluded.size:
+                keys = offset + values
+                at = np.minimum(np.searchsorted(excluded, keys), excluded.size - 1)
+                failed |= takes & (offset >= 0) & (excluded[at] == keys)
+            clean = int(failed.argmax()) if failed.any() else end - start
+            out[start : start + clean] = values[:clean]
+            self._pos += int(np.count_nonzero(takes[:clean]))
+            if clean == end - start:
                 continue
-            self._pos = first + int(words_before[start + fail + 1] - words_before[start])
-            if fail == 0:  # the first pick of a pass failed, as after a restart
-                alike_end = int(run_ends[np.searchsorted(run_ends, start, side="right")])
-            start, size = start + fail, max(16, 2 * fail)
+            if banned is None:
+                banned = set(excluded.tolist())
+            rest = []
+            for bound_i, offset_i in zip(h[start + clean : end].tolist(), offset[clean:].tolist()):
+                v = self.below(bound_i)
+                while bound_i > 1 and offset_i >= 0 and offset_i + v in banned:
+                    v = self.below(bound_i)
+                rest.append(v)
+            out[start + clean : end] = rest
         return out
 
     def sample(self, n: int, k: int) -> list[int]:
@@ -191,4 +169,5 @@ class Draws:
         used = self._drawn - (len(self._words) - self._pos)
         self._rng.bit_generator.state = self._start
         self._rng.integers(0, _WORD, size=used, dtype=np.uint32)
-        self._words, self._pos, self._drawn = [], 0, 0
+        self._block, self._words = np.empty(0, dtype=np.uint32), []
+        self._pos, self._drawn = 0, 0

@@ -13,6 +13,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
+from .atomic import atomic_write
 from .draws import Draws
 
 VALID_LABELS = ("purchased", "impressed")
@@ -305,7 +306,9 @@ def _write_logs(f: TextIO, logs: list[LogRecord]) -> None:
 def gen_synthetic(config: SynthConfig, out_dir: str) -> dict[str, str]:
     """Generate catalog, train/eval logs, queries, and ground truth files.
 
-    Output is fully determined by the config (including seed).
+    Output is fully determined by the config (including seed). Each file is
+    written beside its path and renamed into place, so a write that fails
+    leaves the file that was there.
     """
     corpus = _generate(config)
     os.makedirs(out_dir, exist_ok=True)
@@ -316,17 +319,17 @@ def gen_synthetic(config: SynthConfig, out_dir: str) -> dict[str, str]:
         "queries": os.path.join(out_dir, "queries.tsv"),
         "ground_truth": os.path.join(out_dir, "ground_truth.tsv"),
     }
-    with open(paths["catalog"], "w") as f:
+    with atomic_write(paths["catalog"], "w") as f:
         for pid, text in corpus.catalog:
             f.write(f"{pid}\t{text}\n")
-    with open(paths["logs"], "w") as f:
+    with atomic_write(paths["logs"], "w") as f:
         _write_logs(f, corpus.train_logs)
-    with open(paths["eval_logs"], "w") as f:
+    with atomic_write(paths["eval_logs"], "w") as f:
         _write_logs(f, corpus.eval_logs)
-    with open(paths["queries"], "w") as f:
+    with atomic_write(paths["queries"], "w") as f:
         for qid, text in corpus.queries:
             f.write(f"{qid}\t{text}\n")
-    with open(paths["ground_truth"], "w") as f:
+    with atomic_write(paths["ground_truth"], "w") as f:
         for qid, pid in corpus.ground_truth:
             f.write(f"{qid}\t{pid}\n")
     return paths
@@ -334,8 +337,10 @@ def gen_synthetic(config: SynthConfig, out_dir: str) -> dict[str, str]:
 
 def read_catalog(stream: Iterable[str]) -> list[tuple[str, str]]:
     """(product id, text) from `id<TAB>text` lines; blank lines are skipped.
-    A line without a tab or with an empty id raises ValueError naming it."""
+    A line without a tab or with an empty id raises ValueError naming it, and
+    a repeated id one naming the id and both lines."""
     out = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -343,5 +348,8 @@ def read_catalog(stream: Iterable[str]) -> list[tuple[str, str]]:
         pid, tab, text = line.partition("\t")
         if not tab or not pid:
             raise ValueError(f"catalog line {lineno}: expected a product id, a tab and its text: {line!r}")
+        first = first_line.setdefault(pid, lineno)
+        if first != lineno:
+            raise ValueError(f"catalog line {lineno}: product id {pid!r} is already on line {first}")
         out.append((pid, text))
     return out

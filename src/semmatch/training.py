@@ -222,10 +222,11 @@ def sample_epoch(
     query's purchased/impressed sets.
 
     Every pick takes its own `integers`-equivalent draw, with rejection for
-    random picks, in one `Draws.below_many` pass over the epoch's picks; a
-    random pick is drawn again while its product is in the query's
-    exclusion, unless that covers the whole catalog. The generator is
-    synced before the shuffle."""
+    random picks, in one `Draws.below_many` call over the epoch's picks,
+    which computes them a chunk at a time and draws a chunk's picks after
+    its first failure one by one; a random pick is drawn again while its
+    product is in the query's exclusion, unless that covers the whole
+    catalog. The generator is synced before the shuffle."""
     k_imp, k_rand = config.impressed_per_purchase, config.random_per_purchase
     n_catalog = len(groups.catalog_rows)
     P, I, R = int(Label3.PURCHASED), int(Label3.IMPRESSED), int(Label3.RANDOM)

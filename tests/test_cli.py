@@ -501,6 +501,29 @@ class TestErrors:
                                  "--vocab", paths["vocab.txt"], "--config", cfg, "--data", data])
         assert (status, err) == (1, ["error: eval-log product 'P000100' is not in the catalog"])
 
+    def test_repeated_catalog_id_exits_one(self, derived, tmp_path):
+        cfg, paths = derived
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "eval_logs.tsv").write_bytes((paths["data"] / "eval_logs.tsv").read_bytes())
+        rows = (paths["data"] / "catalog.tsv").read_text().splitlines(keepends=True)
+        assert rows[100].startswith("P000100\t")
+        (data / "catalog.tsv").write_text("".join(rows) + "P000100\tanother text\n")
+        status, err = run_quiet(["evaluate", "--task", "ranking", "--model", paths["model.bin"],
+                                 "--vocab", paths["vocab.txt"], "--config", cfg, "--data", data])
+        repeated = f"catalog line {len(rows) + 1}: product id 'P000100' is already on line 101"
+        assert (status, err) == (1, [f"error: {repeated}"])
+
+    def test_evaluate_without_eval_logs_names_the_training_logs(self, derived, tmp_path):
+        cfg, paths = derived
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("catalog.tsv", "logs.tsv"):
+            (data / name).write_bytes((paths["data"] / name).read_bytes())
+        status, err = run_quiet(["evaluate", "--task", "ranking", "--model", paths["model.bin"],
+                                 "--vocab", paths["vocab.txt"], "--config", cfg, "--data", data])
+        assert (status, err) == (0, [f"evaluated: {data / 'logs.tsv'}"])
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -34,11 +34,24 @@ bounds = st.one_of(
     st.just(2**32),
     st.integers(1, 2**32),
 )
+# Offset 0 excludes the values 1-8, so a pick with 2 <= h <= 9 is drawn again
+# until it lands on 0; offset 100 excludes the values 1-3; offset -1 is never
+# drawn again. Value 0 is always allowed, so every pick ends.
+EXCLUDED = [1, 2, 3, 4, 5, 6, 7, 8, 101, 102, 103]
+OFFSETS = [-1, 0, 100]
+
+
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("below"), bounds),
         st.tuples(st.just("sample"), st.sampled_from(SAMPLES)),
         st.tuples(st.just("sync")),
+        # (bound, offset) picks, drawn against EXCLUDED when the flag is set.
+        st.tuples(
+            st.just("below_many"),
+            st.lists(st.tuples(bounds, st.sampled_from(OFFSETS)), max_size=12),
+            st.booleans(),
+        ),
     ),
     max_size=30,
 )
@@ -58,6 +71,11 @@ def replay(seed, ops, offset):
         elif op[0] == "sample":
             n, k = op[1]
             assert draws.sample(n, k) == want.choice(n, size=k, replace=False).tolist()
+        elif op[0] == "below_many":
+            bounds = [h for h, _ in op[1]]
+            offsets = [o for _, o in op[1]] if op[2] else [-1] * len(bounds)
+            values = draws.below_many(np.array(bounds, dtype=np.int64), np.array(offsets), np.array(EXCLUDED))
+            assert values.tolist() == per_call(want, bounds, offsets, set(EXCLUDED))
         else:
             draws.sync()
             assert got.random() == want.random()
@@ -78,6 +96,9 @@ def assert_continue_alike(want, got):
 @example(seed=0, ops=[("below", 17), ("below", 5)], offset=0)
 @example(seed=1, ops=[("below", 2**31 + 7)] * 8 + [("below", 2**32), ("below", 1)], offset=1)
 @example(seed=2, ops=[("sample", (10001, 201)), ("sample", (50000, 1000)), ("sync",), ("below", 3)], offset=0)
+@example(
+    seed=3, ops=[("below_many", [(9, 0), (5, 100)], True), ("sync",), ("below_many", [(9, 0)] * 3, True)], offset=1
+)
 def test_equals_per_call_draws(seed, ops, offset):
     assert_continue_alike(*replay(seed, ops, offset))
 
@@ -112,13 +133,6 @@ def test_sample_out_of_range_rejected(n, k):
 
 
 # -- below_many ------------------------------------------------------------------
-
-# Offset 0 excludes the values 1-8, so a pick with 2 <= h <= 9 is drawn again
-# until it lands on 0; offset 100 excludes the values 1-3; offset -1 is never
-# drawn again. Value 0 is always allowed, so every pick ends.
-EXCLUDED = [1, 2, 3, 4, 5, 6, 7, 8, 101, 102, 103]
-OFFSETS = [-1, 0, 100]
-
 
 def per_call(rng, bounds, offsets, excluded):
     out = []
@@ -180,9 +194,9 @@ def test_below_many_equals_per_call_draws(seed, runs, excluding, offset):
 
 @pytest.mark.parametrize("excluding", [False, True])
 def test_below_many_across_blocks(excluding):
-    """Over 10k picks the pass restarts after many rejections, within
-    chunks and at their ends, serves runs of alike picks that fail often,
-    and crosses refills of the word block."""
+    """Over 10k picks, many chunks' vectorised passes stop at a Lemire
+    rejection or an excluded value, the per-pick loop serves the rest of
+    those chunks, and both cross refills of the word block."""
     rng = np.random.default_rng(12)
     picked = rng.integers(4, size=1500)
     bounds = np.array([1, 9, 3 * 2**30 + 1, 2**32 - 1])[picked]
@@ -191,6 +205,29 @@ def test_below_many_across_blocks(excluding):
     bounds, offsets = np.repeat(bounds, counts).tolist(), np.repeat(offsets, counts).tolist()
     assert len(bounds) > 8192
     assert_continue_alike(*replay_many(12, bounds, offsets if excluding else None, offset=1))
+
+
+def test_below_many_picks_passing_on_their_first_word():
+    # 2**32 % 9 == 4: a word is rejected with probability about 2**-30, so
+    # every vectorised pass keeps its whole chunk, over more than 3 blocks.
+    bounds = [9] * 13_000
+    assert len(bounds) > 3 * 4096
+    assert_continue_alike(*replay_many(13, bounds, None, offset=1))
+
+
+def test_below_many_starts_near_a_block_end():
+    # After 4093 scalar picks 3 words of the first block are left, so the
+    # first chunk's clean run, at least its 20 picks of h = 9 that no
+    # exclusion applies to, spans the refill.
+    rng, want = np.random.default_rng(14), np.random.default_rng(14)
+    draws = Draws(rng)
+    assert [draws.below(9) for _ in range(4093)] == [int(want.integers(9)) for _ in range(4093)]
+    bounds = [9] * 20 + [9, 1, 3 * 2**30 + 1] * 300
+    offsets = [-1] * 20 + [0, 0, -1] * 300
+    values = draws.below_many(np.array(bounds), np.array(offsets), np.array(EXCLUDED))
+    assert values.tolist() == per_call(want, bounds, offsets, set(EXCLUDED))
+    draws.sync()
+    assert_continue_alike(want, rng)
 
 
 def test_below_many_after_below_shares_the_stream():

@@ -1,6 +1,7 @@
 """Log parsing and synthetic-corpus generator tests."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synth_oracle import match_sets
+from semmatch import synth
 from semmatch.synth import (
     LogRecord,
     SynthConfig,
@@ -196,6 +198,30 @@ class TestFiles:
             records, stats = parse_log(f)
         assert stats.malformed == 0
         assert records == _generate(SMALL).train_logs
+
+    def test_failed_write_leaves_the_previous_files(self, tmp_path, monkeypatch):
+        names = ["catalog.tsv", "logs.tsv", "eval_logs.tsv", "queries.tsv", "ground_truth.tsv"]
+        for name in names:
+            (tmp_path / name).write_text(f"sentinel {name}\n")
+        write_logs = synth._write_logs
+
+        def fail_in_eval_logs(f, logs):
+            if "eval_logs" not in os.path.basename(f.name):
+                return write_logs(f, logs)
+            write_logs(f, logs[:1])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(synth, "_write_logs", fail_in_eval_logs)
+        with pytest.raises(OSError, match="disk full"):
+            gen_synthetic(SMALL, str(tmp_path))
+        assert (tmp_path / "eval_logs.tsv").read_text() == "sentinel eval_logs.tsv\n"
+        assert (tmp_path / "queries.tsv").read_text() == "sentinel queries.tsv\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+
+    def test_read_catalog_rejects_a_repeated_id(self):
+        lines = ["P1\tred shoe\n", "P2\tblue hat\n", "\n", "P1\tgreen sock\n"]
+        with pytest.raises(ValueError, match="^catalog line 4: product id 'P1' is already on line 1$"):
+            read_catalog(lines)
 
     def test_files_bitwise_reproducible(self, tmp_path):
         p1 = gen_synthetic(SMALL, str(tmp_path / "a"))
