@@ -1,4 +1,5 @@
-"""numpy's per-call integer draws, read from blocks of raw words.
+"""numpy's per-call integer draws: read from blocks of raw words for
+synth's catalog, and by array-bound `integers` calls for an epoch's picks.
 
 `Generator.integers(h)` and `Generator.choice(n, size=k, replace=False)`
 are fixed functions of the bit generator's 32-bit word stream (the words
@@ -7,13 +8,12 @@ bounded integer with rejection (Lemire, *Fast Random Integer Generation in
 an Interval*, TOMACS 2019). `choice` without replacement is Floyd's sample
 followed by a shuffle (Bentley & Floyd, *A Sample of Brilliance*, CACM
 1987), or a partial shuffle of the whole range for large samples of large
-ranges. `Draws` reads the words one block at a time and returns the same
-values without a numpy call per value; `sync()` then leaves the generator
-exactly where the per-call draws would have left it. `below_many` serves a
-whole array of `below` picks, each drawn again while it lands in an
-excluded set: per chunk of picks, one vectorised pass computes every pick's
-Lemire step from its own word and keeps the run before the first failure,
-and a per-pick loop draws the rest of the chunk.
+ranges. `Draws`, which synth's catalog loop uses, reads the words one block
+at a time and returns the same values without a numpy call per value;
+`sync()` then leaves the generator exactly where the per-call draws would
+have left it. `below_each` serves an epoch's picks, each drawn again while
+it lands in an excluded set, from numpy's own `integers(0, bounds)`: given
+an array of bounds, that call takes the same words as one call per bound.
 """
 
 from __future__ import annotations
@@ -21,13 +21,58 @@ from __future__ import annotations
 import numpy as np
 
 _BLOCK = 4096
-# Picks per vectorised pass of `below_many`. Of 256, 512 and 1024, 512 was
-# the fastest, or within noise of it, on the benchmark workloads' epochs: a
-# longer chunk draws more picks one by one after a failure, a shorter one
-# pays for more passes.
+# Picks per `integers(0, bounds)` call of `below_each`. An excluded pick
+# costs the picks before it in its chunk a second draw; the benchmark
+# workloads' epochs expect 8-19 excluded first draws over 39-51 chunks.
 _CHUNK = 512
 _WORD = 1 << 32
 _LOW = _WORD - 1
+
+
+def below_each(
+    rng: np.random.Generator, bounds: np.ndarray, offsets: np.ndarray, excluded: np.ndarray
+) -> np.ndarray:
+    """The int64 values, and the generator state after them, of the
+    per-pick loop
+
+        for i, h in enumerate(bounds):
+            v = rng.integers(h)
+            while h > 1 and offsets[i] >= 0 and offsets[i] + v in excluded:
+                v = rng.integers(h)
+
+    for 1 <= h <= 2**32 and a sorted `excluded`. Each chunk of `_CHUNK`
+    picks is one `rng.integers(0, bounds[chunk])` call. When a pick of the
+    chunk is excluded, the generator goes back to the chunk's start, draws
+    the picks up to that one again in one call, redraws that pick alone
+    until it is allowed, and the next chunk starts after it."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds.size and not (1 <= bounds.min() and bounds.max() <= _WORD):
+        raise ValueError(f"a bound is outside [1, 2**32]: {bounds.min()}..{bounds.max()}")
+    offsets, excluded = np.asarray(offsets, dtype=np.int64), np.asarray(excluded, dtype=np.int64)
+    checked = (offsets >= 0) & (bounds > 1)
+    out = np.empty(bounds.size, dtype=np.int64)
+
+    def banned(start: int, end: int) -> np.ndarray:
+        keys = offsets[start:end] + out[start:end]
+        found = np.searchsorted(excluded, keys)
+        hit = checked[start:end] & (found < excluded.size)
+        hit[hit] = excluded[found[hit]] == keys[hit]
+        return hit
+
+    start = 0
+    while start < bounds.size:
+        end = min(start + _CHUNK, bounds.size)
+        state = rng.bit_generator.state
+        out[start:end] = rng.integers(0, bounds[start:end])
+        hit = banned(start, end)
+        if hit.any():
+            end = start + int(hit.argmax()) + 1
+            rng.bit_generator.state = state
+            out[start:end] = rng.integers(0, bounds[start:end])
+            while banned(end - 1, end)[0]:
+                out[end - 1] = rng.integers(bounds[end - 1])
+        start = end
+    return out
 
 
 class Draws:
@@ -39,7 +84,6 @@ class Draws:
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
         self._start: dict | None = None
-        self._block = np.empty(0, dtype=np.uint32)
         self._words: list[int] = []
         self._pos = 0
         self._drawn = 0
@@ -47,10 +91,7 @@ class Draws:
     def _refill(self) -> None:
         if not self._drawn:
             self._start = self._rng.bit_generator.state
-        # Unused words stay in front, so a chunk's words are contiguous.
-        fresh = self._rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32)
-        self._block = np.concatenate((self._block[self._pos :], fresh))
-        self._words = self._block.tolist()
+        self._words = self._rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32).tolist()
         self._pos = 0
         self._drawn += _BLOCK
 
@@ -73,68 +114,6 @@ class Draws:
             while m & _LOW < threshold:
                 m = self._word() * h
         return m >> 32
-
-    def below_many(
-        self,
-        bounds: np.ndarray,
-        offsets: np.ndarray | None = None,
-        excluded: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The int64 values of `below(h)` for each h in `bounds`, where pick i
-        with offsets[i] >= 0 and h > 1 is drawn again while offsets[i] + its
-        value is in the sorted array `excluded`: the same values, from the
-        same words, as the per-pick loop
-
-            for i, h in enumerate(bounds):
-                v = below(h)
-                while h > 1 and offsets[i] >= 0 and offsets[i] + v in excluded:
-                    v = below(h)
-
-        The picks are served in chunks of `_CHUNK`. One vectorised pass
-        computes every pick of a chunk from its own word (a pick with h == 1
-        takes none) and keeps the run before the first pick that fails, by
-        Lemire's rejection or by exclusion. The loop above serves the rest of
-        the chunk, starting from the failed pick's word."""
-        h = np.asarray(bounds, dtype=np.int64)
-        if h.size and not (1 <= h.min() and h.max() <= _WORD):
-            raise ValueError(f"a bound is outside [1, 2**32]: {h.min()}..{h.max()}")
-        n = h.size
-        offsets = np.full(n, -1, dtype=np.int64) if offsets is None else np.asarray(offsets, dtype=np.int64)
-        excluded = np.empty(0, dtype=np.int64) if excluded is None else np.asarray(excluded, dtype=np.int64)
-        banned: set[int] | None = None
-        out = np.empty(n, dtype=np.int64)
-        for start in range(0, n, _CHUNK):
-            end = min(start + _CHUNK, n)
-            bound, offset = h[start:end], offsets[start:end]
-            takes = bound > 1
-            count = int(np.count_nonzero(takes))
-            if len(self._words) - self._pos < count:
-                self._refill()
-            bound = bound[takes].astype(np.uint64)
-            m = self._block[self._pos : self._pos + count].astype(np.uint64) * bound
-            values = np.zeros(end - start, dtype=np.int64)
-            values[takes] = m >> 32
-            failed = np.zeros(end - start, dtype=bool)
-            failed[takes] = m & _LOW < np.uint64(_WORD) % bound
-            if excluded.size:
-                keys = offset + values
-                at = np.minimum(np.searchsorted(excluded, keys), excluded.size - 1)
-                failed |= takes & (offset >= 0) & (excluded[at] == keys)
-            clean = int(failed.argmax()) if failed.any() else end - start
-            out[start : start + clean] = values[:clean]
-            self._pos += int(np.count_nonzero(takes[:clean]))
-            if clean == end - start:
-                continue
-            if banned is None:
-                banned = set(excluded.tolist())
-            rest = []
-            for bound_i, offset_i in zip(h[start + clean : end].tolist(), offset[clean:].tolist()):
-                v = self.below(bound_i)
-                while bound_i > 1 and offset_i >= 0 and offset_i + v in banned:
-                    v = self.below(bound_i)
-                rest.append(v)
-            out[start + clean : end] = rest
-        return out
 
     def sample(self, n: int, k: int) -> list[int]:
         """`rng.choice(n, size=k, replace=False).tolist()`, for 0 <= k <= n."""
@@ -169,5 +148,4 @@ class Draws:
         used = self._drawn - (len(self._words) - self._pos)
         self._rng.bit_generator.state = self._start
         self._rng.integers(0, _WORD, size=used, dtype=np.uint32)
-        self._block, self._words = np.empty(0, dtype=np.uint32), []
-        self._pos, self._drawn = 0, 0
+        self._words, self._pos, self._drawn = [], 0, 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import mmap
 import struct
 from dataclasses import dataclass, field
@@ -43,8 +44,10 @@ class ModelConfig:
             raise ValueError(f"unknown normalization: {self.normalization!r}")
         if not (0.0 < self.bn_momentum < 1.0):
             raise ValueError("bn_momentum must be in (0, 1)")
-        if self.bn_epsilon <= 0:
-            raise ValueError("bn_epsilon must be positive")
+        # A NaN epsilon writes NaN rows, which score 0 and so pass train's
+        # finite-loss check; an infinite one maps every bag to beta.
+        if not 0.0 < self.bn_epsilon < math.inf:
+            raise ValueError("bn_epsilon must be finite and positive")
 
 
 @dataclass

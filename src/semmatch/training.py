@@ -13,7 +13,7 @@ import numpy as np
 
 from . import model as model_mod
 from .atomic import atomic_write
-from .draws import Draws
+from .draws import below_each
 from .losses import Label3, LossSpec, loss_batch, loss_grad_batch
 from .model import EmbeddingModel, ModelConfig, NormState, SparseRowGrad, forward_batch, backward_batch
 from .synth import LogRecord
@@ -221,12 +221,12 @@ def sample_epoch(
     none) + `random_per_purchase` random products sampled outside the
     query's purchased/impressed sets.
 
-    Every pick takes its own `integers`-equivalent draw, with rejection for
-    random picks, in one `Draws.below_many` call over the epoch's picks,
-    which computes them a chunk at a time and draws a chunk's picks after
-    its first failure one by one; a random pick is drawn again while its
-    product is in the query's exclusion, unless that covers the whole
-    catalog. The generator is synced before the shuffle."""
+    Every pick takes the words of its own `rng.integers(h)` call, from
+    `draws.below_each` over the epoch's picks, which draws them a chunk at
+    a time with one array-bound `integers` call; a random pick is drawn
+    again while its product is in the query's exclusion, unless that
+    covers the whole catalog. The shuffle then draws from where the picks
+    left `rng`."""
     k_imp, k_rand = config.impressed_per_purchase, config.random_per_purchase
     n_catalog = len(groups.catalog_rows)
     P, I, R = int(Label3.PURCHASED), int(Label3.IMPRESSED), int(Label3.RANDOM)
@@ -240,9 +240,7 @@ def sample_epoch(
     # query's exclusion covers the catalog; other picks get offset -1.
     checked = is_random & (groups.excluded_count[group] < n_catalog)
     offsets = np.where(checked, group * n_catalog, -1).ravel()
-    draws = Draws(rng)
-    values = draws.below_many(bounds, offsets, groups.excluded).reshape(is_random.shape)
-    draws.sync()
+    values = below_each(rng, bounds, offsets, groups.excluded).reshape(is_random.shape)
 
     picked = np.empty_like(values)
     picked[is_random] = groups.catalog_rows[values[is_random]]

@@ -364,6 +364,32 @@ class TestErrors:
         assert (status, err) == (1, [f"error: {message}"])
         assert not (tmp_path / "model.bin").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_bn_epsilon_exits_one(self, derived, tmp_path, value):
+        # NaN trained a checkpoint of NaN rows, inf one embedding for every bag.
+        cfg, paths = derived
+        bad = tmp_path / "run.cfg"
+        bad.write_text(cfg.read_text() + f"model.bn_epsilon = {value}\n")
+        status, err = run_quiet(["train", "--records", paths["recs.bin"], "--vocab", paths["vocab.txt"],
+                                 "--config", bad, "--out", tmp_path / "model.bin"])
+        assert (status, err) == (1, ["error: bn_epsilon must be finite and positive"])
+        assert not (tmp_path / "model.bin").exists()
+
+    def test_unallocatable_model_exits_one(self, derived, tmp_path):
+        # 10^13 OOV bins ask for a 1.14 PiB embedding matrix, which fails at once.
+        cfg, paths = derived
+        bad = tmp_path / "run.cfg"
+        bad.write_text(cfg.read_text() + "tokenizer.oov_bins = 10000000000000\n")
+        vocab, recs = tmp_path / "vocab.txt", tmp_path / "recs.bin"
+        logs = paths["data"] / "logs.tsv"
+        assert run_quiet(["build-vocab", "--input", logs, "--config", bad, "--out", vocab])[0] == 0
+        assert run_quiet(["preprocess", "--input", logs, "--vocab", vocab, "--config", bad, "--out", recs])[0] == 0
+        status, err = run_quiet(["train", "--records", recs, "--vocab", vocab, "--config", bad,
+                                 "--out", tmp_path / "model.bin"])
+        assert status == 1
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert not (tmp_path / "model.bin").exists()
+
     def test_truncated_index_exits_one(self, workspace, capsys):
         tmp, cfg = workspace
         data, vocab, recs = tmp / "data", tmp / "vocab.txt", tmp / "recs.bin"

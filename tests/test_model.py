@@ -168,6 +168,12 @@ class TestNormalization:
         normalize(x, "query", model, "train")
         np.testing.assert_array_equal(model.norm_product.running_mean, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_degenerate_epsilon_rejected(self, epsilon):
+        # NaN trained a checkpoint of NaN rows, inf one embedding for every bag.
+        with pytest.raises(ValueError, match="bn_epsilon must be finite and positive"):
+            ModelConfig(bn_epsilon=epsilon)
+
 
 class TestForward:
     def test_scores_in_range(self):
@@ -332,6 +338,12 @@ class TestCheckpoint:
             blob[32:36] = struct.pack("<I", flags)
             with pytest.raises(ValueError, match="normalization"):
                 load_model(io.BytesIO(bytes(blob)))
+
+    def test_non_finite_epsilon_rejected(self):
+        blob = bytearray(serialize_model(make_model(norm="batch")))
+        blob[44:52] = struct.pack("<d", float("nan"))  # the header's bn_epsilon
+        with pytest.raises(ValueError, match="bn_epsilon must be finite and positive"):
+            load_model(io.BytesIO(bytes(blob)))
 
     def test_header_bit_flips_rejected(self):
         blob = serialize_model(make_model())
