@@ -1,10 +1,17 @@
-"""Artifacts are replaced by rename, never rewritten in place."""
+"""Artifacts are replaced by rename, never rewritten in place. Each binary
+one (records, checkpoint, index) is framed alike: an 8-byte magic, a packed
+header whose first field is the version, and a payload of exactly the size
+the header implies."""
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
-from typing import IO, Iterator
+import struct
+from typing import IO, BinaryIO, Iterator
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -26,3 +33,39 @@ def atomic_write(path: str, mode: str = "wb") -> Iterator[IO]:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def read_header(f: BinaryIO, magic: bytes, header: struct.Struct, version: int, name: str) -> tuple:
+    """The header fields after the version, which is the first, read after
+    `magic` at f's position. Another magic, a header cut short, or another
+    version raises ValueError naming the artifact as `name`."""
+    found = f.read(len(magic))
+    if found != magic:
+        raise ValueError(f"not a version-{version} {name} (magic {found!r})")
+    raw = f.read(header.size)
+    if len(raw) != header.size:
+        raise ValueError(f"truncated {name}")
+    fields = header.unpack(raw)
+    if fields[0] != version:
+        raise ValueError(f"unsupported {name} version {fields[0]}")
+    return fields[1:]
+
+
+def expect_size(f: BinaryIO, size: int, name: str) -> None:
+    """Check, before anything is allocated, that exactly `size` bytes follow
+    the position of the seekable file f. Fewer or more raise ValueError."""
+    start = f.tell()
+    present = f.seek(0, io.SEEK_END) - start
+    f.seek(start)
+    if present < size:
+        raise ValueError(f"truncated {name}")
+    if present > size:
+        raise ValueError(f"{name} size does not match its header")
+
+
+def read_array(f: BinaryIO, shape: tuple[int, ...], dtype: np.dtype | str = "<f8") -> np.ndarray:
+    """A new array filled in place from the next bytes of f."""
+    a = np.empty(shape, dtype=dtype)
+    if f.readinto(a) != a.nbytes:
+        raise ValueError("file ended inside an array")
+    return a

@@ -60,10 +60,34 @@ def _cmd_build_vocab(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args.config)
+def _load_vocab(args: argparse.Namespace, cfg: RunConfig) -> tuple[Vocabulary, EmbeddingModel | None]:
+    """The vocabulary named by --vocab and, for a command with --model, the
+    checkpoint. A vocabulary whose OOV bin count B differs from the run
+    config's tokenizer.oov_bins, or whose size V or B differs from the
+    model's, raises ValueError. One with the model's V and B but other
+    tokens is not detected: the checkpoint does not record its vocabulary."""
+    model = None
+    if "model" in args:
+        with open(args.model, "rb") as f:
+            model = load_model(f)
     with open(args.vocab) as f:
         vocab = load_vocabulary(f)
+    if model is not None and (vocab.v, vocab.oov_bins) != (model.vocab_v, model.oov_bins):
+        raise ValueError(
+            f"vocabulary (V={vocab.v} B={vocab.oov_bins}) does not match the model "
+            f"(V={model.vocab_v} B={model.oov_bins})"
+        )
+    if vocab.oov_bins != cfg.tokenizer.oov_bins:
+        raise ValueError(
+            f"run config tokenizer.oov_bins = {cfg.tokenizer.oov_bins} does not match "
+            f"the vocabulary (B={vocab.oov_bins})"
+        )
+    return vocab, model
+
+
+def _cmd_preprocess(args: argparse.Namespace) -> int:
+    cfg = _load_cfg(args.config)
+    vocab, _ = _load_vocab(args, cfg)
     with open(args.input) as f:
         records, stats = synth.parse_log(f)
     _log(f"parsed {stats.parsed} log rows ({stats.malformed} malformed)")
@@ -74,8 +98,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
-    with open(args.vocab) as f:
-        vocab = load_vocabulary(f)
+    vocab, _ = _load_vocab(args, cfg)
     _, _, records = training.read_records(args.records)
     rng = np.random.default_rng(cfg.seed)
     model = training.init_model(vocab.v, vocab.oov_bins, cfg.model, rng)
@@ -88,26 +111,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_vocab_and_model(args: argparse.Namespace) -> tuple[Vocabulary, EmbeddingModel]:
-    """The vocabulary and checkpoint named by --vocab and --model. A
-    vocabulary whose size V or OOV bin count B differs from the model's
-    raises ValueError. One with the same V and B but other tokens is not
-    detected: the checkpoint does not record its vocabulary."""
-    with open(args.vocab) as f:
-        vocab = load_vocabulary(f)
-    with open(args.model, "rb") as f:
-        model = load_model(f)
-    if (vocab.v, vocab.oov_bins) != (model.vocab_v, model.oov_bins):
-        raise ValueError(
-            f"vocabulary (V={vocab.v} B={vocab.oov_bins}) does not match the model "
-            f"(V={model.vocab_v} B={model.oov_bins})"
-        )
-    return vocab, model
-
-
 def _cmd_embed_products(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
-    vocab, model = _load_vocab_and_model(args)
+    vocab, model = _load_vocab(args, cfg)
     with open(args.catalog) as f:
         catalog = synth.read_catalog(f)
     idx = index_mod.build_index(catalog, model, vocab, cfg.tokenizer)
@@ -119,7 +125,7 @@ def _cmd_embed_products(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
-    vocab, model = _load_vocab_and_model(args)
+    vocab, model = _load_vocab(args, cfg)
     with open(args.index, "rb") as f:
         idx = index_mod.load_index(f)
     if idx.fingerprint != model.checkpoint_digest:
@@ -134,7 +140,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
-    vocab, model = _load_vocab_and_model(args)
+    vocab, model = _load_vocab(args, cfg)
     with open(os.path.join(args.data, "catalog.tsv")) as f:
         catalog = synth.read_catalog(f)
     logs_path = os.path.join(args.data, "eval_logs.tsv")

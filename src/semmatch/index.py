@@ -10,19 +10,13 @@ from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .model import (
-    EmbeddingModel,
-    _bytes_left,
-    _read_array,
-    embed_batch,
-    model_fingerprint,
-)
+from .atomic import expect_size, read_array, read_header
+from .model import EmbeddingModel, embed_batch, model_fingerprint
 from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 
 _IDX_MAGIC = b"SMINDEX4"
 _IDX_VERSION = 4
-_IDX_HEADER = struct.Struct("<IQIQ")  # version, count, n, id width
-_IDX_PREFIX = 8 + _IDX_HEADER.size + 32  # magic, header, model fingerprint
+_IDX_HEADER = struct.Struct("<IQIQ32s")  # version, count, n, id width, model fingerprint
 _EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays near 2 MB
 
 
@@ -170,7 +164,7 @@ def save_index(index: ProductIndex, f: BinaryIO) -> None:
     count, n = index.matrix.shape
     width = int(np.char.str_len(index.keys).max(initial=0))
     block = index.keys.astype(f"S{width}", copy=False).tobytes() if width else b""
-    f.write(_IDX_MAGIC + _IDX_HEADER.pack(_IDX_VERSION, count, n, width) + index.fingerprint)
+    f.write(_IDX_MAGIC + _IDX_HEADER.pack(_IDX_VERSION, count, n, width, index.fingerprint))
     f.write(block + bytes(-len(block) % 8))
     f.write(np.ascontiguousarray(index.matrix, dtype="<f8"))
 
@@ -209,25 +203,13 @@ def load_index(f: BinaryIO) -> ProductIndex:
     _read_keys), or ids that are not strictly ascending raise ValueError.
 
     Every file it accepts saves back byte-identical."""
-    head = f.read(_IDX_PREFIX)
-    if head[:8] != _IDX_MAGIC:
-        raise ValueError(f"not a version-{_IDX_VERSION} index file (magic {head[:8]!r})")
-    if len(head) != _IDX_PREFIX:
-        raise ValueError("truncated index")
-    version, count, n, width = _IDX_HEADER.unpack_from(head, 8)
-    if version != _IDX_VERSION:
-        raise ValueError(f"unsupported index version {version}")
+    count, n, width, fingerprint = read_header(f, _IDX_MAGIC, _IDX_HEADER, _IDX_VERSION, "index")
     block_len = count * width
     padded = block_len + (-block_len % 8)
-    present = _bytes_left(f)
-    size = padded + 8 * count * n
-    if present < size:
-        raise ValueError("truncated index")
-    if present > size:
-        raise ValueError("index size does not match its header")
+    expect_size(f, padded + 8 * count * n, "index")
     raw = f.read(padded)
     if raw[block_len:] != bytes(padded - block_len):
         raise ValueError("index ids do not match its header")
     keys = _read_keys(raw[:block_len], count, width)
-    matrix = _read_array(f, (count, n))
-    return ProductIndex(keys=keys, matrix=matrix, fingerprint=head[-32:])
+    matrix = read_array(f, (count, n))
+    return ProductIndex(keys=keys, matrix=matrix, fingerprint=fingerprint)

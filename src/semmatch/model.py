@@ -17,6 +17,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .atomic import expect_size, read_array, read_header
+
 NORM_NONE = "none"
 NORM_BATCH = "batch"
 NORM_LAYER = "layer"
@@ -373,22 +375,6 @@ def backward_batch(cache: ForwardCache, dscores: np.ndarray) -> Gradients:
     return grads
 
 
-def _bytes_left(f: BinaryIO) -> int:
-    """Bytes from the current position of a seekable file to its end."""
-    start = f.tell()
-    end = f.seek(0, io.SEEK_END)
-    f.seek(start)
-    return end - start
-
-
-def _read_array(f: BinaryIO, shape: tuple[int, ...], dtype: str = "<f8") -> np.ndarray:
-    """A new array filled in place from the next bytes of f."""
-    a = np.empty(shape, dtype=dtype)
-    if f.readinto(a) != a.nbytes:
-        raise ValueError("file ended inside an array")
-    return a
-
-
 def _read_matrices(f: BinaryIO, count: int, shape: tuple[int, int]) -> list[np.ndarray]:
     """The next `count` float64 matrices of f, leaving f after them.
 
@@ -400,7 +386,7 @@ def _read_matrices(f: BinaryIO, count: int, shape: tuple[int, int]) -> list[np.n
     try:
         fd = f.fileno()
     except io.UnsupportedOperation:
-        return [_read_array(f, shape) for _ in range(count)]
+        return [read_array(f, shape) for _ in range(count)]
     start = f.tell()
     floats = shape[0] * shape[1]
     end = start + 8 * floats * count
@@ -461,15 +447,9 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
     The normalization state and the digest are read. The digest is kept as
     the model's checkpoint_digest without being checked against the
     parameters: hashing them costs more than a query."""
-    magic = f.read(8)
-    if magic != _CKPT_MAGIC:
-        raise ValueError(f"not a version-{_CKPT_VERSION} model checkpoint (magic {magic!r})")
-    header = f.read(_CKPT_HEADER.size)
-    if len(header) != _CKPT_HEADER.size:
-        raise ValueError("truncated checkpoint")
-    version, v, bins, n, flags, momentum, epsilon = _CKPT_HEADER.unpack(header)
-    if version != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+    v, bins, n, flags, momentum, epsilon = read_header(
+        f, _CKPT_MAGIC, _CKPT_HEADER, _CKPT_VERSION, "checkpoint"
+    )
     shared = bool(flags & 1)
     norm = _NORM_NAMES.get(flags >> 1)  # set bits above the code are unknown too
     if norm is None:
@@ -482,19 +462,11 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
         bn_epsilon=epsilon,
     )
     rows, arms = v + bins + 1, 1 if shared else 2
-    size = 8 * (rows * n * arms + 8 * n) + _DIGEST_SIZE
-    present = _bytes_left(f)
-    if present < size:
-        raise ValueError("truncated checkpoint")
-    if present > size:
-        raise ValueError("checkpoint size does not match its header")
+    expect_size(f, 8 * (rows * n * arms + 8 * n) + _DIGEST_SIZE, "checkpoint")
     matrices = _read_matrices(f, arms, (rows, n))
     qm, pm = matrices[0], matrices[-1]  # one object for shared arms
-    states = []
-    for _ in range(2):
-        vecs = [_read_array(f, (n,)) for _ in range(4)]
-        states.append(NormState(*vecs))
-    model = EmbeddingModel(cfg, qm, pm, states[0], states[1], v, bins)
+    norm_q, norm_p = (NormState(*(read_array(f, (n,)) for _ in range(4))) for _ in range(2))
+    model = EmbeddingModel(cfg, qm, pm, norm_q, norm_p, v, bins)
     model.checkpoint_digest = f.read(_DIGEST_SIZE)
     return model
 

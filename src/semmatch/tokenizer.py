@@ -26,6 +26,7 @@ import numpy as np
 
 UNIGRAM = "unigram"
 CHAR_TRIGRAM = "ctri"
+MAX_ID = 2**32 - 1  # record files store ids as uint32
 
 # One tag byte per token class so identical strings from different classes
 # can never hash to the same OOV bin input.
@@ -191,7 +192,8 @@ class Vocabulary:
     {token: id} table per token class so a lookup builds no key.
 
     Ids 1..V are in-vocabulary, 0 is the reserved masked id, and
-    V+1..V+B are OOV hash bins.
+    V+1..V+B are OOV hash bins. Record files store ids as uint32, so a
+    V + B above MAX_ID raises ValueError.
     """
 
     ids_by_class: dict[str, dict[str, int]]
@@ -199,6 +201,10 @@ class Vocabulary:
     oov_bins: int
     derived_query_max: int | None = None
     derived_product_max: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.v + self.oov_bins > MAX_ID:
+            raise ValueError(f"V + B = {self.v + self.oov_bins} is more ids than records hold ({MAX_ID})")
 
     @property
     def token_to_id(self) -> dict[tuple[str, str], int]:

@@ -4,7 +4,6 @@ lazy sparse ADAM, and the epoch loop."""
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable
@@ -12,7 +11,7 @@ from typing import BinaryIO, Iterable
 import numpy as np
 
 from . import model as model_mod
-from .atomic import atomic_write
+from .atomic import atomic_write, expect_size, read_array, read_header
 from .draws import below_each
 from .losses import Label3, LossSpec, loss_batch, loss_grad_batch
 from .model import EmbeddingModel, ModelConfig, NormState, SparseRowGrad, forward_batch, backward_batch
@@ -21,7 +20,7 @@ from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 
 _REC_MAGIC = b"SMRECS01"
 _REC_VERSION = 1
-_HEADER_FMT = "<IIIQ"
+_REC_HEADER = struct.Struct("<IIIQ")  # version, query_max, product_max, count
 
 
 def record_dtype(query_max: int, product_max: int) -> np.dtype:
@@ -39,30 +38,18 @@ def write_records(
     path: str, query_max: int, product_max: int, records: np.ndarray
 ) -> None:
     with atomic_write(path) as f:
-        f.write(_REC_MAGIC)
-        f.write(struct.pack(_HEADER_FMT, _REC_VERSION, query_max, product_max, len(records)))
-        f.write(records.tobytes())
+        f.write(_REC_MAGIC + _REC_HEADER.pack(_REC_VERSION, query_max, product_max, len(records)))
+        f.write(np.ascontiguousarray(records, dtype=record_dtype(query_max, product_max)))
 
 
 def read_records(path: str) -> tuple[int, int, np.ndarray]:
     """Returns (query_max, product_max, structured record array). A file
     shorter or longer than its header implies raises ValueError."""
     with open(path, "rb") as f:
-        if f.read(8) != _REC_MAGIC:
-            raise ValueError("not a record file (bad magic)")
-        header = f.read(struct.calcsize(_HEADER_FMT))
-        if len(header) != struct.calcsize(_HEADER_FMT):
-            raise ValueError("truncated record file")
-        version, qmax, pmax, count = struct.unpack(_HEADER_FMT, header)
-        if version != _REC_VERSION:
-            raise ValueError(f"unsupported record-file version {version}")
+        qmax, pmax, count = read_header(f, _REC_MAGIC, _REC_HEADER, _REC_VERSION, "record file")
         dt = record_dtype(qmax, pmax)
-        present = os.fstat(f.fileno()).st_size - f.tell()
-        if present < count * dt.itemsize:
-            raise ValueError("truncated record file")
-        if present > count * dt.itemsize:
-            raise ValueError("record file size does not match its header")
-        data = np.fromfile(f, dtype=dt, count=count)
+        expect_size(f, count * dt.itemsize, "record file")
+        data = read_array(f, (count,), dt)
     return qmax, pmax, data
 
 

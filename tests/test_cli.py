@@ -18,8 +18,8 @@ from semmatch.index import build_index, load_index, top_k
 from semmatch.losses import LossSpec
 from semmatch.model import ModelConfig, load_model, model_fingerprint
 from semmatch.synth import SynthConfig, read_catalog
-from semmatch.tokenizer import TokenizerConfig, load_vocabulary
-from semmatch.training import TrainConfig
+from semmatch.tokenizer import MAX_ID, TokenizerConfig, load_vocabulary
+from semmatch.training import TrainConfig, read_records
 
 CONFIG = """\
 # small end-to-end run
@@ -376,10 +376,14 @@ class TestErrors:
         assert not (tmp_path / "model.bin").exists()
 
     def test_unallocatable_model_exits_one(self, derived, tmp_path):
-        # 10^13 OOV bins ask for a 1.14 PiB embedding matrix, which fails at once.
+        # The most OOV bins a vocabulary holds, at dimension 2^16, ask for a
+        # 2 PiB embedding matrix, which fails at once.
         cfg, paths = derived
+        with open(paths["vocab.txt"]) as f:
+            bins = MAX_ID - load_vocabulary(f).v
         bad = tmp_path / "run.cfg"
-        bad.write_text(cfg.read_text() + "tokenizer.oov_bins = 10000000000000\n")
+        text = cfg.read_text().replace("model.embedding_dim = 16", "model.embedding_dim = 65536")
+        bad.write_text(text + f"tokenizer.oov_bins = {bins}\n")
         vocab, recs = tmp_path / "vocab.txt", tmp_path / "recs.bin"
         logs = paths["data"] / "logs.tsv"
         assert run_quiet(["build-vocab", "--input", logs, "--config", bad, "--out", vocab])[0] == 0
@@ -389,6 +393,38 @@ class TestErrors:
         assert status == 1
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
         assert not (tmp_path / "model.bin").exists()
+
+    def test_oov_bins_past_id_limit_exits_one(self, derived, tmp_path):
+        # 10^13 OOV bins give ids that the uint32 records would wrap.
+        cfg, paths = derived
+        bad = tmp_path / "run.cfg"
+        bad.write_text(cfg.read_text() + "tokenizer.oov_bins = 10000000000000\n")
+        out = tmp_path / "vocab.txt"
+        status, err = run_quiet(["build-vocab", "--input", paths["data"] / "logs.tsv", "--config", bad,
+                                 "--out", out])
+        assert status == 1
+        assert [line for line in err if line.startswith("error: ")] == err[-1:]
+        assert err[-1].startswith("error: V + B = 100000000") and err[-1].endswith(f"records hold ({MAX_ID})")
+        assert not out.exists()
+
+    def test_run_config_oov_bins_differs_from_vocabulary_exits_one(self, derived, tmp_path):
+        cfg, paths = derived
+        other = tmp_path / "bins.cfg"
+        other.write_text(cfg.read_text() + "tokenizer.oov_bins = 7\n")
+        data, out = paths["data"], tmp_path / "out.bin"
+        given = ["--vocab", paths["vocab.txt"], "--config", other]
+        for args in (
+            ["preprocess", "--input", data / "logs.tsv", *given, "--out", out],
+            ["train", "--records", paths["recs.bin"], *given, "--out", out],
+            ["embed-products", "--catalog", data / "catalog.tsv", "--model", paths["model.bin"], *given,
+             "--out", out],
+            query_args(other, paths),
+            ["evaluate", "--task", "both", "--model", paths["model.bin"], *given, "--data", data],
+        ):
+            status, err = run_quiet(args)
+            assert status == 1, args[0]
+            assert err == ["error: run config tokenizer.oov_bins = 7 does not match the vocabulary (B=0)"], args[0]
+        assert not out.exists()
 
     def test_truncated_index_exits_one(self, workspace, capsys):
         tmp, cfg = workspace
@@ -667,6 +703,10 @@ CORRUPTION = settings(max_examples=60, deadline=None)
 FIELD_BITS = 32 * 8  # both files: magic, version, then count, n and id width, or V, B and n
 
 
+REC_HEADER_END = 28  # records.bin: magic, then version, qmax, pmax (u32) and count (u64)
+FRAMES = {"recs.bin": ("record file", 1), "model.bin": ("checkpoint", 2), "index.bin": ("index", 4)}
+
+
 def index_count_and_width(blob):
     return struct.unpack_from("<Q", blob, 12)[0], struct.unpack_from("<Q", blob, 24)[0]
 
@@ -685,7 +725,9 @@ class TestCorruptArtifacts:
     id-width field; index ids swapped or repeated, so that they no longer
     ascend strictly; an older magic. tests/test_index.py and
     tests/test_model.py try every cut and every header bit on the loaders
-    alone.
+    alone. A records.bin cut short anywhere, or with a bit flipped in its
+    magic, version, qmax, pmax or count, is rejected alike by read_records
+    and by `semmatch train`.
 
     Not detected: a bit flip inside the float payload (the index matrix, the
     embeddings and normalization state), in the checkpoint's normalization
@@ -737,6 +779,60 @@ class TestCorruptArtifacts:
         else:
             ids[i] = ids[j]
         self.assert_rejected(derived, "index.bin", blob[:64] + b"".join(ids) + blob[64 + count * width :])
+
+    @staticmethod
+    def run_damaged(derived, name, damaged):
+        """Exit status and stderr lines of the command that reads `name`,
+        given `damaged` in its place: `train` for records, else `query`."""
+        cfg, paths = derived
+        path = paths[name].with_name("damaged-" + name)
+        path.write_bytes(damaged)
+        if name != "recs.bin":
+            return run_quiet(query_args(cfg, paths, **{name.split(".")[0]: path}))
+        out = path.with_name("trained-from-damaged-recs.bin")
+        outcome = run_quiet(["train", "--records", path, "--vocab", paths["vocab.txt"], "--config", cfg,
+                             "--out", out])
+        assert not out.exists()
+        return outcome
+
+    def assert_records_rejected(self, derived, damaged):
+        status, err = self.run_damaged(derived, "recs.bin", damaged)
+        assert status == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        with pytest.raises(ValueError):
+            read_records(str(derived[1]["recs.bin"].with_name("damaged-recs.bin")))
+
+    @CORRUPTION
+    @given(data=st.data())
+    def test_records_cut(self, derived, data):
+        """Cut inside the 28 bytes of magic and header, or inside the records."""
+        blob = derived[1]["recs.bin"].read_bytes()
+        cut = data.draw(st.integers(0, REC_HEADER_END - 1) | st.integers(REC_HEADER_END, len(blob) - 1))
+        self.assert_records_rejected(derived, blob[:cut])
+
+    @CORRUPTION
+    @given(bit=st.integers(0, REC_HEADER_END * 8 - 1))
+    def test_records_field_bit_flip(self, derived, bit):
+        """A bit of the magic, version, qmax, pmax or count."""
+        damaged = bytearray(derived[1]["recs.bin"].read_bytes())
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        self.assert_records_rejected(derived, bytes(damaged))
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    def test_frame_faults_worded_alike(self, derived, name):
+        """The three binary artifacts share one frame, and its faults read
+        alike: another magic, a header cut short, another version, and a
+        payload short or long by one byte."""
+        what, version = FRAMES[name]
+        blob = derived[1][name].read_bytes()
+        for damaged, message in [
+            (b"SMOTHER0" + blob[8:], f"not a version-{version} {what} (magic b'SMOTHER0')"),
+            (blob[:10], f"truncated {what}"),
+            (blob[:8] + struct.pack("<I", version + 1) + blob[12:], f"unsupported {what} version {version + 1}"),
+            (blob[:-1], f"truncated {what}"),
+            (blob + b"\0", f"{what} size does not match its header"),
+        ]:
+            assert self.run_damaged(derived, name, damaged) == (1, [f"error: {message}"])
 
     @pytest.mark.parametrize(
         "name,magic",

@@ -16,6 +16,7 @@ from encode_oracle import hash_oov, tokenize
 from semmatch import tokenizer
 from semmatch.tokenizer import (
     CHAR_TRIGRAM,
+    MAX_ID,
     UNIGRAM,
     TokenizerConfig,
     Vocabulary,
@@ -258,6 +259,22 @@ class TestVocabulary:
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.v == vocab.v
         assert loaded.oov_bins == vocab.oov_bins
+
+    def test_ids_up_to_the_record_limit(self):
+        """V + B may reach MAX_ID, the largest uint32 id a record file
+        holds, at build and at load; one id more raises ValueError."""
+        rows = _corpus(["red shoe", "blue shoe sale"])
+        v = build_vocabulary(rows, TokenizerConfig(budget_per_class={UNIGRAM: 50})).v
+        cfg = TokenizerConfig(budget_per_class={UNIGRAM: 50}, oov_bins=MAX_ID - v)
+        buf = io.StringIO()
+        save_vocabulary(build_vocabulary(rows, cfg), buf)
+        assert load_vocabulary(io.StringIO(buf.getvalue())).oov_bins == MAX_ID - v
+        past = TokenizerConfig(budget_per_class={UNIGRAM: 50}, oov_bins=MAX_ID - v + 1)
+        with pytest.raises(ValueError, match=f"V \\+ B = {MAX_ID + 1} is more ids than records hold"):
+            build_vocabulary(rows, past)
+        text = buf.getvalue().replace(f"B={MAX_ID - v}", f"B={MAX_ID - v + 1}", 1)
+        with pytest.raises(ValueError, match="more ids than records hold"):
+            load_vocabulary(io.StringIO(text))
 
     def test_derived_lengths_persist(self):
         cfg = TokenizerConfig(budget_per_class={UNIGRAM: 50})

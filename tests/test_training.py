@@ -9,7 +9,7 @@ import pytest
 from semmatch.losses import Label3, LossSpec
 from semmatch.model import ModelConfig, SparseRowGrad, model_fingerprint
 from semmatch.synth import LogRecord
-from semmatch.tokenizer import UNIGRAM, TokenizerConfig, build_vocabulary
+from semmatch.tokenizer import MAX_ID, UNIGRAM, TokenizerConfig, build_vocabulary, encode_batch
 from semmatch.training import (
     AdamState,
     TrainConfig,
@@ -122,6 +122,24 @@ class TestPreprocess:
         preprocess_logs(small_logs(), vocab, TC, p1)
         preprocess_logs(list(reversed(small_logs())), vocab, TC, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_ids_up_to_the_limit_stored_as_encoded(self, tmp_path):
+        # Two in-vocabulary tokens and MAX_ID - 2 bins: hashed ids reach
+        # above 2^31, and the uint32 records hold each as encoded.
+        rows = [row for r in small_logs() for row in (("query", r.query), ("product", r.product_text))]
+        cfg = TokenizerConfig(budget_per_class={UNIGRAM: 2}, oov_bins=MAX_ID - 2,
+                              query_max_tokens=4, product_max_tokens=6)
+        vocab = build_vocabulary(rows, cfg)
+        path = str(tmp_path / "recs.bin")
+        preprocess_logs(small_logs(), vocab, cfg, path)
+        _, _, recs = read_records(path)
+        products = {r.product_id: r.product_text for r in small_logs()}
+        keys = sorted({(r.query, r.product_id, r.label) for r in small_logs()})
+        query_ids = encode_batch([q for q, _, _ in keys], "query", vocab, cfg)
+        product_ids = encode_batch([products[pid] for _, pid, _ in keys], "product", vocab, cfg)
+        assert max(query_ids.max(), product_ids.max()) > 2**31
+        np.testing.assert_array_equal(recs["query"], query_ids)
+        np.testing.assert_array_equal(recs["product"], product_ids)
 
     def test_empty_logs_rejected(self, tmp_path):
         with pytest.raises(ValueError):
