@@ -85,7 +85,7 @@ def _embed_texts(
         return np.zeros((0, model.n), dtype=np.float64)
     ids = encode_batch(texts, side, vocab, config)
     block = max(1, _EMBED_FLOATS // (ids.shape[1] * model.n))
-    out = embed_batch(ids, "query" if side == "query" else "product", model, block)
+    out = embed_batch(ids, side, model, block)
     # Scaled to unit rows in place, a block at a time: np.linalg.norm over
     # all of `out` would allocate a temporary of its size.
     for start in range(0, len(out), block):

@@ -104,15 +104,13 @@ class EmbeddingModel:
     def n(self) -> int:
         return self.config.embedding_dim
 
-    def matrix_for(self, arm: str) -> np.ndarray:
-        if arm == "query":
-            return self.query_matrix
-        if arm == "product":
-            return self.product_matrix
-        raise ValueError(f"arm must be 'query' or 'product', got {arm!r}")
-
-    def norm_for(self, arm: str) -> NormState:
-        return self.norm_query if arm == "query" else self.norm_product
+    def arm(self, name: str) -> tuple[np.ndarray, NormState]:
+        """The embedding matrix and normalization state of arm `name`."""
+        if name == "query":
+            return self.query_matrix, self.norm_query
+        if name == "product":
+            return self.product_matrix, self.norm_product
+        raise ValueError(f"arm must be 'query' or 'product', got {name!r}")
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Named trainable arrays. Shared arms expose one matrix."""
@@ -145,10 +143,15 @@ def pool_batch(ids: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndar
     return pooled, counts
 
 
+# The axis each (normalization, phase) standardises over; None uses the
+# running statistics.
+_NORM_AXIS = {(NORM_LAYER, "train"): 1, (NORM_LAYER, "infer"): 1,
+              (NORM_BATCH, "train"): 0, (NORM_BATCH, "infer"): None}
+
+
 @dataclass
 class _NormCache:
-    mode: str
-    phase: str
+    axis: int | None
     xhat: np.ndarray
     std: np.ndarray
     gamma: np.ndarray
@@ -156,44 +159,37 @@ class _NormCache:
 
 def normalize_batch(
     x: np.ndarray, arm: str, model: EmbeddingModel, phase: str
-) -> tuple[np.ndarray, _NormCache]:
-    """Normalize a (B, N) batch of pooled embeddings for one arm."""
+) -> tuple[np.ndarray, _NormCache | None]:
+    """Normalize a (B, N) batch of pooled embeddings for one arm: gamma * (x -
+    mu) / sqrt(var + eps) + beta. With none, x itself and no cache."""
     if phase not in ("train", "infer"):
         raise ValueError(f"phase must be 'train' or 'infer', got {phase!r}")
+    _, state = model.arm(arm)
     mode = model.config.normalization
-    state = model.norm_for(arm)
-    eps = model.config.bn_epsilon
     if mode == NORM_NONE:
-        cache = _NormCache(mode, phase, x, np.ones(1), np.ones(1))
-        return x, cache
-    if mode == NORM_LAYER:
-        mu = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        std = np.sqrt(var + eps)
-        xhat = (x - mu) / std
-    else:  # batch
-        if phase == "train":
-            if x.shape[0] < 2:
-                raise ValueError("batch normalization needs batch size >= 2 in train phase")
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            std = np.sqrt(var + eps)
-            xhat = (x - mu) / std
+        return x, None
+    axis = _NORM_AXIS[mode, phase]
+    if axis is None:
+        mu, var = state.running_mean, state.running_var
+    else:
+        if axis == 0 and x.shape[0] < 2:
+            raise ValueError("batch normalization needs batch size >= 2 in train phase")
+        mu = x.mean(axis=axis, keepdims=True)
+        var = x.var(axis=axis, keepdims=True)
+        if axis == 0:
             mom = model.config.bn_momentum
-            state.running_mean[:] = mom * state.running_mean + (1 - mom) * mu
-            state.running_var[:] = mom * state.running_var + (1 - mom) * var
-        else:
-            std = np.sqrt(state.running_var + eps)
-            xhat = (x - state.running_mean) / std
-    out = state.gamma * xhat + state.beta
-    return out, _NormCache(mode, phase, xhat, std, state.gamma)
+            state.running_mean[:] = mom * state.running_mean + (1 - mom) * mu[0]
+            state.running_var[:] = mom * state.running_var + (1 - mom) * var[0]
+    std = np.sqrt(var + model.config.bn_epsilon)
+    xhat = (x - mu) / std
+    return state.gamma * xhat + state.beta, _NormCache(axis, xhat, std, state.gamma)
 
 
 def embed_batch(ids: np.ndarray, arm: str, model: EmbeddingModel, block: int) -> np.ndarray:
     """Inference-phase embeddings of one arm's bags, pooled and normalized
     `block` bags at a time, so the gather never exceeds (block, L, N)
     floats. An empty bag embeds as a zero row."""
-    matrix = model.matrix_for(arm)
+    matrix, _ = model.arm(arm)
     out = np.empty((len(ids), model.n), dtype=np.float64)
     for start in range(0, len(ids), block):
         pooled, counts = pool_batch(ids[start : start + block], matrix)
@@ -203,25 +199,21 @@ def embed_batch(ids: np.ndarray, arm: str, model: EmbeddingModel, block: int) ->
     return out
 
 
-def _norm_backward(dout: np.ndarray, cache: _NormCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dx, dgamma, dbeta) for one arm's normalization."""
-    if cache.mode == NORM_NONE:
-        z = np.zeros(dout.shape[1], dtype=np.float64)
-        return dout, z, z
+def _norm_backward(
+    dout: np.ndarray, cache: _NormCache | None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Returns (dx, dgamma, dbeta) for one arm's normalization; with no
+    cache, (dout, None, None)."""
+    if cache is None:
+        return dout, None, None
     dgamma = (dout * cache.xhat).sum(axis=0)
     dbeta = dout.sum(axis=0)
     dxhat = dout * cache.gamma
-    if cache.mode == NORM_LAYER:
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * cache.xhat).mean(axis=1, keepdims=True)
-        dx = (dxhat - m1 - cache.xhat * m2) / cache.std
-    elif cache.phase == "train":
-        m1 = dxhat.mean(axis=0)
-        m2 = (dxhat * cache.xhat).mean(axis=0)
-        dx = (dxhat - m1 - cache.xhat * m2) / cache.std
-    else:
-        dx = dxhat / cache.std
-    return dx, dgamma, dbeta
+    if cache.axis is None:  # the running statistics are constants
+        return dxhat / cache.std, dgamma, dbeta
+    m1 = dxhat.mean(axis=cache.axis, keepdims=True)
+    m2 = (dxhat * cache.xhat).mean(axis=cache.axis, keepdims=True)
+    return (dxhat - m1 - cache.xhat * m2) / cache.std, dgamma, dbeta
 
 
 def cosine_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,8 +230,8 @@ class ForwardCache:
     p_ids: np.ndarray
     q_counts: np.ndarray
     p_counts: np.ndarray
-    q_norm_cache: _NormCache
-    p_norm_cache: _NormCache
+    q_norm_cache: _NormCache | None
+    p_norm_cache: _NormCache | None
     a: np.ndarray  # normalized query embeddings
     b: np.ndarray  # normalized product embeddings
     scores: np.ndarray
@@ -367,9 +359,10 @@ def backward_batch(cache: ForwardCache, dscores: np.ndarray) -> Gradients:
     else:
         grads["emb_q"] = grad_q
         grads["emb_p"] = grad_p
-    if cache.q_norm_cache.mode != NORM_NONE:
+    if cache.q_norm_cache is not None:
         grads["gamma_q"] = dgamma_q
         grads["beta_q"] = dbeta_q
+    if cache.p_norm_cache is not None:
         grads["gamma_p"] = dgamma_p
         grads["beta_p"] = dbeta_p
     return grads

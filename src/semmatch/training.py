@@ -24,6 +24,9 @@ _REC_HEADER = struct.Struct("<IIIQ")  # version, query_max, product_max, count
 
 
 def record_dtype(query_max: int, product_max: int) -> np.dtype:
+    if 9 + 4 * (query_max + product_max) > 2**31 - 1:  # numpy's limit, not always enforced
+        raise ValueError(f"record file bags too long: query_max {query_max} and product_max "
+                         f"{product_max} make records over 2^31 - 1 bytes")
     return np.dtype(
         [
             ("label", "u1"),

@@ -18,7 +18,7 @@ from semmatch.tokenizer import TokenBag
 
 def embed_bag(bag: TokenBag, arm: str, model: EmbeddingModel) -> np.ndarray:
     """Pooled embedding of one TokenBag."""
-    pooled, _ = pool_batch(bag.ids[None, :], model.matrix_for(arm))
+    pooled, _ = pool_batch(bag.ids[None, :], model.arm(arm)[0])
     return pooled[0]
 
 

@@ -459,6 +459,20 @@ class TestErrors:
             assert len([line for line in err if not line.startswith("config: ")]) == 1
             assert err[-1].startswith("error: ")
 
+    @pytest.mark.parametrize("qmax, pmax", [(2**31, 1), (1, 2**32 - 1), (2**30, 1), (2**28 - 1, 2**28 - 1)])
+    def test_oversized_record_bags_exit_one(self, derived, capsys, tmp_path, qmax, pmax):
+        """Bag lengths whose record exceeds numpy's 2^31 - 1 byte dtype limit
+        (the last exceeds it by 2 bytes) are named as the record file's."""
+        cfg, paths = derived
+        huge = tmp_path / "huge.bin"
+        huge.write_bytes(paths["recs.bin"].read_bytes()[:8] + struct.pack("<IIIQ", 1, qmax, pmax, 0))
+        capsys.readouterr()
+        assert run(["train", "--records", huge, "--vocab", paths["vocab.txt"],
+                    "--config", cfg, "--out", tmp_path / "m.bin"]) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("config: ")]
+        assert err == [f"error: record file bags too long: query_max {qmax} and product_max {pmax} "
+                       "make records over 2^31 - 1 bytes"]
+
     def test_huge_vocabulary_size_exits_one(self, derived, capsys, tmp_path):
         cfg, paths = derived
         blob = bytearray(paths["model.bin"].read_bytes())
@@ -798,7 +812,7 @@ class TestCorruptArtifacts:
     def assert_records_rejected(self, derived, damaged):
         status, err = self.run_damaged(derived, "recs.bin", damaged)
         assert status == 1
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: ") and "record file" in err[0]
         with pytest.raises(ValueError):
             read_records(str(derived[1]["recs.bin"].with_name("damaged-recs.bin")))
 

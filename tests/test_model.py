@@ -7,7 +7,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from norm_oracle import oracle_norm_backward, oracle_normalize
 from semmatch.model import (
     EmbeddingModel,
     ModelConfig,
@@ -15,8 +18,10 @@ from semmatch.model import (
     backward_batch,
     cosine_batch,
     forward_batch,
+    _norm_backward,
     load_model,
     model_fingerprint,
+    normalize_batch,
     pool_batch,
     save_model,
 )
@@ -167,6 +172,52 @@ class TestNormalization:
         x = np.random.default_rng(0).normal(loc=7.0, size=(16, 8))
         normalize(x, "query", model, "train")
         np.testing.assert_array_equal(model.norm_product.running_mean, 0.0)
+
+    @pytest.mark.parametrize("norm", ["none", "batch", "layer"])
+    def test_unknown_arm_rejected(self, norm):
+        model = make_model(norm=norm)
+        with pytest.raises(ValueError, match="'qurey'"):
+            normalize_batch(np.ones((4, 8)), "qurey", model, "infer")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        b=st.integers(2, 64),
+        n=st.integers(1, 32),
+        scale=st.floats(1e-3, 1e3),
+        norm=st.sampled_from(["none", "batch", "layer"]),
+        phase=st.sampled_from(["train", "infer"]),
+        arm=st.sampled_from(["query", "product"]),
+        constant=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_mode_oracle(self, b, n, scale, norm, phase, arm, constant, seed):
+        """Output, running statistics after the step and (dx, dgamma, dbeta)
+        equal the per-mode formulas to the byte. `constant` makes one
+        column of x and one row of dout constant (a zero variance)."""
+        rng = np.random.default_rng(seed)
+        model = make_model(n=n, shared=False, norm=norm, seed=seed % 1000)
+        for state in (model.norm_query, model.norm_product):
+            state.gamma[:] = rng.normal(1.0, 0.5, size=n)
+            state.beta[:] = rng.normal(size=n)
+            state.running_mean[:] = rng.normal(size=n) * scale
+            state.running_var[:] = rng.uniform(0.1, 2.0, size=n) * scale**2
+        x = rng.normal(rng.normal(), 1.0, size=(b, n)) * scale
+        dout = rng.normal(size=(b, n))
+        if constant:
+            x[:, 0] = x[0, 0]
+            dout[0] = dout[0, 0]
+        state, other = (model.norm_query, model.norm_product)[:: 1 if arm == "query" else -1]
+        want_state = NormState(*(a.copy() for a in vars(state).values()))
+        other_bytes = [a.tobytes() for a in vars(other).values()]
+        want, want_cache = oracle_normalize(
+            x, want_state, norm, phase, model.config.bn_momentum, model.config.bn_epsilon
+        )
+        got, cache = normalize_batch(x, arm, model, phase)
+        assert got.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in vars(state).values()] == [a.tobytes() for a in vars(want_state).values()]
+        assert [a.tobytes() for a in vars(other).values()] == other_bytes
+        for g, w in zip(_norm_backward(dout, cache), oracle_norm_backward(dout, want_cache)):
+            assert (g is None and w is None) or g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("nan"), float("inf")])
     def test_degenerate_epsilon_rejected(self, epsilon):
@@ -408,8 +459,8 @@ class TestMappedCheckpoint:
         assert mapped.config == read.config
         assert mapped.checkpoint_digest == read.checkpoint_digest
         for arm in ("query", "product"):
-            assert mapped.matrix_for(arm).tobytes() == read.matrix_for(arm).tobytes()
-            assert mapped.matrix_for(arm).flags.writeable
+            assert mapped.arm(arm)[0].tobytes() == read.arm(arm)[0].tobytes()
+            assert mapped.arm(arm)[0].flags.writeable
         assert (mapped.query_matrix is mapped.product_matrix) == shared
 
     @pytest.mark.parametrize("shared", [True, False])
