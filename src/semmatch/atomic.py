@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import mmap
 import os
 import struct
 from typing import IO, BinaryIO, Iterator
@@ -20,8 +21,8 @@ def atomic_write(path: str, mode: str = "wb") -> Iterator[IO]:
     `path` once the block ends. A block that raises removes the temporary
     file and leaves whatever `path` held.
 
-    A process that mapped the old file (model.load_model maps checkpoints)
-    keeps its bytes: the rename gives the new file its own inode, where
+    A process that mapped the old file (read_matrices maps checkpoints and
+    indexes) keeps its bytes: the rename gives the new file its own inode, where
     truncating the old one in place would make the mapped pages fault."""
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
@@ -69,3 +70,28 @@ def read_array(f: BinaryIO, shape: tuple[int, ...], dtype: np.dtype | str = "<f8
     if f.readinto(a) != a.nbytes:
         raise ValueError("file ended inside an array")
     return a
+
+
+def read_matrices(f: BinaryIO, count: int, shape: tuple[int, int]) -> list[np.ndarray]:
+    """The next `count` float64 matrices of f, leaving f after them.
+
+    A file with a descriptor is mapped copy-on-write rather than read: a
+    page is read when a row on it is first touched, and writes stay private
+    to the arrays. The arrays start wherever the matrices do in the file, so
+    they need not be 8-byte aligned. A stream without one (io.BytesIO) is
+    read into new arrays. Rewriting a mapped file in place while its arrays
+    are alive can kill the process with SIGBUS; artifacts are replaced by
+    rename instead (atomic_write)."""
+    try:
+        fd = f.fileno()
+    except io.UnsupportedOperation:
+        return [read_array(f, shape) for _ in range(count)]
+    start = f.tell()
+    floats = shape[0] * shape[1]
+    end = start + 8 * floats * count
+    mapped = mmap.mmap(fd, end, access=mmap.ACCESS_COPY)
+    f.seek(end)
+    return [
+        np.frombuffer(mapped, "<f8", floats, start + 8 * floats * i).reshape(shape)
+        for i in range(count)
+    ]

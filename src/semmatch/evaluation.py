@@ -11,12 +11,12 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .atomic import atomic_write
-from .index import ProductIndex, _embed_texts
+from .index import ProductIndex, _embed_texts, round32, score_rows, screen_queries
 from .model import EmbeddingModel
 from .synth import LogRecord
 from .tokenizer import TokenizerConfig, Vocabulary
 
-_SCORE_BLOCK = 2**20  # scores per matrix product in the matching eval: 8 MB of float64
+_SCORE_BLOCK = 2**20  # screen scores per matrix product in the matching eval: 4 MB of float32
 
 
 @dataclass
@@ -84,19 +84,32 @@ class MetricReport:
         }
 
 
-def _dot_error(qnorms: np.ndarray, max_row_norm: float, dim: int) -> np.ndarray:
-    """Per query, a bound on |computed - exact| of `row . q` for every row of
-    an index, whatever order a BLAS kernel sums in: gamma_dim * ||q|| *
-    max ||row|| (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1, then Cauchy-Schwarz).
-
-    Each computed norm is raised by 2**-500, more than the squares that
-    underflow can hide from it, and gamma_dim * 2**-1000 exceeds the
-    dim * 2**-1075 that products lost to underflow can add. The 2**-20
-    margin covers the rounding of the norms and of this formula."""
-    u = np.finfo(np.float64).eps / 2
-    gamma = dim * u / (1 - dim * u) * (1 + 2**-20)
-    return gamma * (qnorms + 2**-500) * (max_row_norm + 2**-500)
+def _ranks(
+    coarse: np.ndarray,
+    rows: np.ndarray,
+    scores: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    qvec: np.ndarray,
+    matrix: np.ndarray,
+) -> list[int]:
+    """1-based positions of `rows`, which score `scores`, in the full (score
+    desc, row asc) order of score_rows(matrix, qvec). `coarse` holds every
+    row's float32 screen score, each within e of its row's score, and
+    `lows` and `highs` each score -+ e rounded outward to float32. A row
+    screened above the high scores surely higher, one screened below the
+    low surely lower. Only a window holding more than the row itself is
+    scored."""
+    ranks = []
+    for row, s, low, high in zip(rows, scores, lows, highs):
+        higher = np.count_nonzero(coarse > high)
+        rank = 1 + higher
+        if np.count_nonzero(coarse >= low) - higher > 1:
+            near = np.flatnonzero((coarse >= low) & (coarse <= high))
+            settled = score_rows(matrix[near], qvec)
+            rank += int(np.count_nonzero((settled > s) | ((settled == s) & (near < row))))
+        ranks.append(rank)
+    return ranks
 
 
 def run_matching_eval(
@@ -110,18 +123,16 @@ def run_matching_eval(
     """Score the whole corpus per query; purchased items are the relevant set.
 
     Every metric comes from the ascending ranks of the purchased products in
-    the full (score desc, id asc) order: Recall@k and AP@k from those within
-    k, NDCG and MRR from all of them. A purchased product missing from the
-    index has no rank and counts only in the denominators and the IDCG.
+    the full (score desc, id asc) order of score_rows: Recall@k and AP@k from
+    those within k, NDCG and MRR from all of them. A purchased product
+    missing from the index has no rank and counts only in the denominators
+    and the IDCG.
 
-    The ranks are those of the per-query scan `index.matrix @ qvec`, while
-    the queries are scored `_SCORE_BLOCK // products` at a time with one
-    matrix product. The two kernels may differ in the last bits, but each
-    is within e = `_dot_error` of the exact dot. So when no other product's
-    block score lies within 4e of a purchased product's, the scan orders
-    every product against it the same way and ties none with it, and its
-    rank is 1 + the number of higher block scores. A query with any closer
-    score is ranked from the scan's own scores.
+    The queries are screened `_SCORE_BLOCK // products` at a time with one
+    float32 matrix product against index.screen. Each purchased product is
+    then ranked by _ranks, which scores in float64 only the rows whose screen
+    scores come within the bound of screen_queries of its score, and only
+    when there are others than itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -129,20 +140,22 @@ def run_matching_eval(
     live = [q for q in queries if q.purchased]
     report = MetricReport(skipped=len(queries) - len(live))
     qvecs = _embed_texts([q.text for q in live], "query", model, vocab, config)
-    windows = 4 * _dot_error(np.linalg.norm(qvecs, axis=1), index.max_row_norm, index.matrix.shape[1])
-    step = max(1, _SCORE_BLOCK // max(1, index.matrix.shape[0]))
+    screen, _ = index.screen
+    q32, errors = screen_queries(qvecs, index)
+    purchased = [np.array([row_of[pid] for pid in q.purchased if pid in row_of], dtype=np.intp) for q in live]
+    scores = [score_rows(index.matrix[rows], qvec) for rows, qvec in zip(purchased, qvecs)]
+    # Every window bound of the call, rounded in one call per side.
+    sizes = [len(rows) for rows in purchased]
+    flat, e, cuts = np.concatenate([np.zeros(0), *scores]), np.repeat(errors, sizes), np.cumsum(sizes)[:-1]
+    lows, highs = np.split(round32(flat - e, -np.inf), cuts), np.split(round32(flat + e, np.inf), cuts)
+    step = max(1, _SCORE_BLOCK // max(1, len(screen)))
     for start in range(0, len(live), step):
         block = slice(start, start + step)
-        scored = qvecs[block] @ index.matrix.T
-        for q, qvec, scores, window in zip(live[block], qvecs[block], scored, windows[block]):
+        for q, qvec, coarse, rows, s, low, high in zip(
+            live[block], qvecs[block], q32[block] @ screen.T, purchased[block], scores[block], lows[block], highs[block]
+        ):
             n = len(q.purchased)
-            rows = np.array([row_of[pid] for pid in q.purchased if pid in row_of], dtype=np.intp)
-            s = scores[rows][:, None]
-            if np.count_nonzero(np.abs(scores - s) <= window) == len(rows):
-                ranks = 1 + np.count_nonzero(scores > s, axis=1)
-            else:
-                ranks = positions(index.matrix @ qvec, rows)
-            ranks = sorted(ranks.tolist())
+            ranks = sorted(_ranks(coarse, rows, s, low, high, qvec, index.matrix))
             hits = bisect.bisect_right(ranks, k)
             ap = 0.0  # precision at each hit within k, added in rank order
             for j, rank in enumerate(ranks[:hits], start=1):
@@ -166,10 +179,11 @@ def run_ranking_eval(
     vocab: Vocabulary,
     config: TokenizerConfig,
 ) -> MetricReport:
-    """Rank each query's purchased+impressed candidates by model score, ties
-    by id; purchase counts are the gains. The queries and the distinct
-    candidates of the call are embedded once each. A candidate missing from
-    `product_texts` raises ValueError naming it."""
+    """Rank each query's purchased+impressed candidates by model score
+    (score_rows), ties by id; purchase counts are the gains. The queries and
+    the distinct candidates of the call are embedded once each. A candidate
+    missing from `product_texts`, or whose embedding is not finite, raises
+    ValueError naming it."""
     live = [q for q in queries if q.purchased and q.impressed]
     report = MetricReport(skipped=len(queries) - len(live))
     candidate_lists = [sorted(set(q.purchased) | q.impressed) for q in live]
@@ -182,9 +196,9 @@ def run_ranking_eval(
         texts = [product_texts[pid] for pid in row_of]
     except KeyError as exc:
         raise ValueError(f"eval-log product {exc.args[0]!r} is not in the catalog") from None
-    products = _embed_texts(texts, "product", model, vocab, config)
+    products = _embed_texts(texts, "product", model, vocab, config, list(row_of))
     for q, candidates, qvec in zip(live, candidate_lists, qvecs):
-        scores = products[[row_of[pid] for pid in candidates]] @ qvec
+        scores = score_rows(products[[row_of[pid] for pid in candidates]], qvec)
         rows = np.array([i for i, pid in enumerate(candidates) if pid in q.purchased], dtype=np.intp)
         ranked = sorted(zip(positions(scores, rows).tolist(), rows.tolist()))
         ranks = [rank for rank, _ in ranked]

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .atomic import expect_size, read_array, read_header
+from .atomic import expect_size, read_header, read_matrices
 from .model import EmbeddingModel, embed_batch, model_fingerprint
 from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 
@@ -18,6 +19,55 @@ _IDX_MAGIC = b"SMINDEX4"
 _IDX_VERSION = 4
 _IDX_HEADER = struct.Struct("<IQIQ32s")  # version, count, n, id width, model fingerprint
 _EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays near 2 MB
+# Screened queries have norms up to this. A screen row's squared norm is a
+# finite float32, so its norm is below 2**64, and every float32 sum of a
+# screen dot stays below 2**125 (ProductIndex.screen).
+_SCREEN_QUERY_NORM = 2.0**60
+
+
+def score_rows(rows: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
+    """The score of each row against the query: their float64 dot. Each row
+    is summed alike wherever it sits in `rows`, so equal rows score equally
+    and a gathered row scores as it does in the whole matrix; a BLAS
+    matrix-vector product can round the rows of its tail differently."""
+    return np.einsum("ij,j->i", rows, query_vec)
+
+
+def _dot_error(qnorms: np.ndarray, row_norm: float, dim: int, dtype: type) -> np.ndarray:
+    """Per query, a bound on |computed - exact| of `row . q` for every row of
+    norm at most `row_norm`, when the row and q are first rounded to `dtype`
+    and their dot is then summed in `dtype` in any order.
+
+    With u the unit roundoff of `dtype`, rounding moves each component by at
+    most u times itself, and a dot of length dim summed in any order is
+    within gamma_dim * sum |row_j q_j| of the exact dot of what it sums. As
+    (1 + u)**2 * (1 + gamma_dim) <= 1 + gamma_{dim+2}, the three roundings
+    together stay within gamma_{dim+2} * sum |row_j q_j|, at most
+    gamma_{dim+2} * ||q|| * ||row|| (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1 and lemma 3.3, then Cauchy-Schwarz).
+    In float64 the first two roundings do nothing and the bound is slack.
+
+    Underflow adds at most u * 2**emin, half the subnormal spacing, per
+    rounded component and per product. Each norm is raised by
+    t = 2**(emin // 2 + 3), more than underflow can hide from a computed
+    norm: gamma * t * (||q|| + ||row||) covers the components, and
+    gamma * t**2 > 64 * dim * u * 2**emin the products. The 2**-20 margin
+    covers the rounding of the norms and of this formula."""
+    info = np.finfo(dtype)
+    u = float(info.eps) / 2
+    t = 2.0 ** (info.minexp // 2 + 3)
+    gamma = (dim + 2) * u / (1 - (dim + 2) * u) * (1 + 2**-20)
+    return gamma * (qnorms + t) * (row_norm + t)
+
+
+def round32(x: np.ndarray | float, toward: float) -> np.ndarray:
+    """x (float64) rounded to float32 toward -inf or +inf, so a float32 at
+    least (at most) the result is at least (at most) x. Beyond float32's
+    range it rounds to an infinity; NaN stays NaN."""
+    with np.errstate(over="ignore"):
+        x32 = np.asarray(x).astype(np.float32)
+        past = x32 > x if toward < 0 else x32 < x
+        return np.where(past, np.nextafter(x32, np.float32(toward)), x32)
 
 
 @dataclass
@@ -67,9 +117,28 @@ class ProductIndex:
         return {pid: i for i, pid in enumerate(self.ids)}
 
     @cached_property
-    def max_row_norm(self) -> float:
-        """Largest row norm (0.0 for an empty index), computed on first use."""
-        return float(np.sqrt(np.einsum("ij,ij->i", self.matrix, self.matrix).max(initial=0.0)))
+    def screen(self) -> tuple[np.ndarray, float]:
+        """The matrix rounded to float32, and a bound on its largest float64
+        row norm, made on first use in one pass over the matrix. A row that is
+        not finite, or too large for float32 (its float32 squared norm
+        overflows), raises ValueError naming its product.
+
+        The bound comes from the float32 squared norms: each is within
+        gamma_dim of the squared norm of the rounded row, which is within u
+        of the row's (see _dot_error); 2**-60 exceeds what underflow hides."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = self.matrix.astype(np.float32)
+            squares = np.einsum("ij,ij->i", rows, rows)
+        bad = np.flatnonzero(~np.isfinite(squares))
+        if bad.size:
+            finite = np.isfinite(self.matrix[bad[0]]).all()
+            reason = "does not fit float32" if finite else "is not finite"
+            raise ValueError(f"product {self.ids_at([bad[0]])[0]!r}: its embedding {reason}")
+        dim = self.matrix.shape[1]
+        u = float(np.finfo(np.float32).eps) / 2
+        gamma = dim * u / (1 - dim * u)
+        top = float(squares.max(initial=0.0))
+        return rows, (math.sqrt(top / (1 - gamma)) + 2.0**-60) / (1 - u) * (1 + 2**-20)
 
 
 @dataclass
@@ -78,9 +147,16 @@ class MatchResult:
 
 
 def _embed_texts(
-    texts: list[str], side: str, model: EmbeddingModel, vocab: Vocabulary, config: TokenizerConfig
+    texts: list[str],
+    side: str,
+    model: EmbeddingModel,
+    vocab: Vocabulary,
+    config: TokenizerConfig,
+    names: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Inference-phase unit embeddings; empty bags embed as zero rows."""
+    """Inference-phase unit embeddings; empty bags embed as zero rows. An
+    embedding that is not finite raises ValueError naming its text, or its
+    entry of `names` (product ids)."""
     if not texts:
         return np.zeros((0, model.n), dtype=np.float64)
     ids = encode_batch(texts, side, vocab, config)
@@ -91,6 +167,10 @@ def _embed_texts(
     for start in range(0, len(out), block):
         rows = out[start : start + block]
         norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            name = (names or texts)[start + bad[0]]
+            raise ValueError(f"{side} {name!r}: its embedding is not finite")
         rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return out
 
@@ -102,11 +182,11 @@ def build_index(
     config: TokenizerConfig,
 ) -> ProductIndex:
     """Encode, embed, and unit-normalize every catalog product, one row each in
-    ascending product-id order. A duplicate product id, or one containing a
-    newline or a NUL, raises ValueError."""
+    ascending product-id order. A duplicate product id, one containing a
+    newline or a NUL, or an embedding that is not finite raises ValueError."""
     catalog = sorted(products, key=operator.itemgetter(0))
     ids = [pid for pid, _ in catalog]
-    matrix = _embed_texts([text for _, text in catalog], "product", model, vocab, config)
+    matrix = _embed_texts([text for _, text in catalog], "product", model, vocab, config, ids)
     return ProductIndex.from_ids(ids, matrix, model_fingerprint(model))
 
 
@@ -116,29 +196,56 @@ def embed_query(
     return _embed_texts([text], "query", model, vocab, config)[0]
 
 
+def screen_queries(qvecs: np.ndarray, index: ProductIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The (queries, N) queries rounded to float32 for index.screen, and per
+    query a bound e on |screen score - score_rows score| of every row: the
+    float32 and the float64 _dot_error added. A query of norm above
+    2**60, or not finite, could overflow float32: it is screened as zeros
+    with e = inf, which keeps every row."""
+    _, row_norm = index.screen
+    qnorms = np.linalg.norm(qvecs, axis=1)
+    fits = qnorms <= _SCREEN_QUERY_NORM
+    dim = qvecs.shape[1]
+    e = _dot_error(qnorms, row_norm, dim, np.float32) + _dot_error(qnorms, row_norm, dim, np.float64)
+    return np.where(fits[:, None], qvecs, 0.0).astype(np.float32), np.where(fits, e, np.inf)
+
+
 def rank_all(
     query_vec: np.ndarray, index: ProductIndex, k: int, threshold: float = -np.inf
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores for every product plus the rows of the first k products with
-    score >= threshold in (score desc, id asc) order.
+    """The rows of the first k products with score >= threshold in (score
+    desc, id asc) order, and their scores (score_rows).
 
-    Exact: the candidates are cut at the k-th score with a partial selection
-    that keeps every product tied with it, and only the survivors are sorted.
-    A NaN threshold, which no score passes, raises ValueError.
+    Exact: each float32 screen score is within e of its row's score
+    (screen_queries). A row screened below threshold - e fails the
+    threshold. Of the rest, one screened below the k-th highest screen score
+    less 2e has k rows scoring strictly higher, which it could follow only
+    if they failed the threshold too. Only the other rows are scored, cut
+    at the k-th score keeping every row tied with it, and sorted. A NaN
+    threshold, which no score passes, raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if np.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    scores = index.matrix @ query_vec
-    rows = np.flatnonzero(scores >= threshold)
-    cand = scores[rows]
+    screen, _ = index.screen
+    q32, e = screen_queries(query_vec[None, :], index)
+    coarse = screen @ q32[0]
+    e = float(e[0])  # Python floats: inf - inf is NaN without a warning
+    rows = np.flatnonzero(coarse >= round32(float(threshold) - e, -np.inf))
     if len(rows) > k:
-        kth = np.partition(cand, len(cand) - k)[len(cand) - k]
-        keep = cand >= kth
-        rows, cand = rows[keep], cand[keep]
-    head = rows[np.argsort(-cand, kind="stable")[:k]]  # rows ascend, so ties keep id order
-    return scores, head
+        cand = coarse[rows]
+        kth = float(np.partition(cand, len(cand) - k)[len(cand) - k])
+        rows = rows[cand >= round32(kth - 2 * e, -np.inf)]
+    scores = score_rows(index.matrix[rows], query_vec)
+    keep = scores >= threshold
+    rows, scores = rows[keep], scores[keep]
+    if len(rows) > k:
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = scores >= kth
+        rows, scores = rows[keep], scores[keep]
+    order = np.argsort(-scores, kind="stable")[:k]  # rows ascend, so ties keep id order
+    return rows[order], scores[order]
 
 
 def top_k(
@@ -150,11 +257,11 @@ def top_k(
     k: int,
     threshold: float,
 ) -> MatchResult:
-    """Exact scan: up to k products with score >= threshold. Only their ids
+    """Exact search: up to k products with score >= threshold. Only their ids
     are decoded."""
     qvec = embed_query(query_text, model, vocab, config)
-    scores, head = rank_all(qvec, index, k, threshold)
-    return MatchResult(items=list(zip(index.ids_at(head), scores[head].tolist())))
+    head, scores = rank_all(qvec, index, k, threshold)
+    return MatchResult(items=list(zip(index.ids_at(head), scores.tolist())))
 
 
 def save_index(index: ProductIndex, f: BinaryIO) -> None:
@@ -201,8 +308,13 @@ def load_index(f: BinaryIO) -> ProductIndex:
     """Read an index written by save_index. A short file, a trailing byte,
     padding that is not NUL, ids that are not what save_index writes (see
     _read_keys), or ids that are not strictly ascending raise ValueError.
+    Rows that are not finite are rejected on first use (ProductIndex.screen).
 
-    Every file it accepts saves back byte-identical."""
+    Every file it accepts saves back byte-identical. Once every size check
+    has passed, the matrix of a file is mapped copy-on-write (see
+    atomic.read_matrices), so a query reads only what it touches. Rewriting
+    the file in place while the index is alive can kill the process with
+    SIGBUS; artifacts are replaced by rename instead."""
     count, n, width, fingerprint = read_header(f, _IDX_MAGIC, _IDX_HEADER, _IDX_VERSION, "index")
     block_len = count * width
     padded = block_len + (-block_len % 8)
@@ -211,5 +323,5 @@ def load_index(f: BinaryIO) -> ProductIndex:
     if raw[block_len:] != bytes(padded - block_len):
         raise ValueError("index ids do not match its header")
     keys = _read_keys(raw[:block_len], count, width)
-    matrix = read_array(f, (count, n))
+    (matrix,) = read_matrices(f, 1, (count, n))
     return ProductIndex(keys=keys, matrix=matrix, fingerprint=fingerprint)

@@ -8,16 +8,14 @@ padding row: it stays zero and never receives gradient.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
-import mmap
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
 import numpy as np
 
-from .atomic import expect_size, read_array, read_header
+from .atomic import expect_size, read_array, read_header, read_matrices
 
 NORM_NONE = "none"
 NORM_BATCH = "batch"
@@ -368,29 +366,6 @@ def backward_batch(cache: ForwardCache, dscores: np.ndarray) -> Gradients:
     return grads
 
 
-def _read_matrices(f: BinaryIO, count: int, shape: tuple[int, int]) -> list[np.ndarray]:
-    """The next `count` float64 matrices of f, leaving f after them.
-
-    A file with a descriptor is mapped copy-on-write rather than read: a
-    page is read when a row on it is first touched, and writes stay private
-    to the arrays. The arrays start wherever the matrices do in the file, so
-    they need not be 8-byte aligned. A stream without one (io.BytesIO) is
-    read into new arrays."""
-    try:
-        fd = f.fileno()
-    except io.UnsupportedOperation:
-        return [read_array(f, shape) for _ in range(count)]
-    start = f.tell()
-    floats = shape[0] * shape[1]
-    end = start + 8 * floats * count
-    mapped = mmap.mmap(fd, end, access=mmap.ACCESS_COPY)
-    f.seek(end)
-    return [
-        np.frombuffer(mapped, "<f8", floats, start + 8 * floats * i).reshape(shape)
-        for i in range(count)
-    ]
-
-
 def _checkpoint_body(model: EmbeddingModel) -> list:
     """The checkpoint's bytes before its digest: magic, config header, the
     embedding matrix/matrices and the per-arm normalization state."""
@@ -434,9 +409,10 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
     file shorter or longer than its header implies raises ValueError.
 
     Once every size check has passed, the embedding matrices of a file are
-    mapped copy-on-write (see _read_matrices), so a query reads only the
-    rows it uses. Rewriting the file in place while the model is alive can
-    kill the process with SIGBUS; artifacts are replaced by rename instead.
+    mapped copy-on-write (see atomic.read_matrices), so a query reads only
+    the rows it uses. Rewriting the file in place while the model is alive
+    can kill the process with SIGBUS; artifacts are replaced by rename
+    instead.
     The normalization state and the digest are read. The digest is kept as
     the model's checkpoint_digest without being checked against the
     parameters: hashing them costs more than a query."""
@@ -456,7 +432,7 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
     )
     rows, arms = v + bins + 1, 1 if shared else 2
     expect_size(f, 8 * (rows * n * arms + 8 * n) + _DIGEST_SIZE, "checkpoint")
-    matrices = _read_matrices(f, arms, (rows, n))
+    matrices = read_matrices(f, arms, (rows, n))
     qm, pm = matrices[0], matrices[-1]  # one object for shared arms
     norm_q, norm_p = (NormState(*(read_array(f, (n,)) for _ in range(4))) for _ in range(2))
     model = EmbeddingModel(cfg, qm, pm, norm_q, norm_p, v, bins)

@@ -1,6 +1,6 @@
 """The retrieval oracle: encode each text on its own with the per-text
-encoder, score every product with one matrix-vector product per query,
-lexsort by (score desc, id asc), walk that order for top_k, and score the
+encoder, score every product with score_rows over the whole matrix per
+query, lexsort by (score desc, id asc), walk that order for top_k, and score the
 matching metrics over the whole ranked id list. The id order check compares
 the ids as Python strings, one pair at a time."""
 
@@ -11,7 +11,7 @@ import numpy as np
 import encode_oracle
 from metric_oracle import average_precision, mrr, ndcg, recall_at_k
 from semmatch.evaluation import MetricReport
-from semmatch.index import MatchResult
+from semmatch.index import MatchResult, score_rows
 from semmatch.model import embed_batch
 
 
@@ -25,7 +25,7 @@ def oracle_embed(texts, side, model, vocab, config):
 def oracle_order(query_vec, index):
     """Scores and every row in (score desc, id asc) order, the ids ranked by
     sorting them here rather than taken to ascend with the rows."""
-    scores = index.matrix @ query_vec
+    scores = score_rows(index.matrix, query_vec)
     id_rank = np.empty(len(index.ids), dtype=np.int64)
     id_rank[sorted(range(len(index.ids)), key=index.ids.__getitem__)] = np.arange(len(index.ids))
     return scores, np.lexsort((id_rank, -scores))

@@ -743,11 +743,14 @@ class TestCorruptArtifacts:
     magic, version, qmax, pmax or count, is rejected alike by read_records
     and by `semmatch train`.
 
-    Not detected: a bit flip inside the float payload (the index matrix, the
-    embeddings and normalization state), in the checkpoint's normalization
-    code, momentum or epsilon, or one in an id that keeps the ids strictly
-    ascending. Finding those needs the payload hashed, which costs more
-    than a query. A flip in the index's stored fingerprint or the
+    An index row that is not finite, or too large for float32, loads, and
+    `query` rejects it with one `error:` line naming its product.
+
+    Not detected: any other bit flip inside the float payload (the index
+    matrix, the embeddings and normalization state), in the checkpoint's
+    normalization code, momentum or epsilon, or one in an id that keeps the
+    ids strictly ascending. Finding those needs the payload hashed, which
+    costs more than a query. A flip in the index's stored fingerprint or the
     checkpoint's digest loads, and `query` rejects the pair as a mismatch.
     """
 
@@ -793,6 +796,23 @@ class TestCorruptArtifacts:
         else:
             ids[i] = ids[j]
         self.assert_rejected(derived, "index.bin", blob[:64] + b"".join(ids) + blob[64 + count * width :])
+
+    @pytest.mark.parametrize(
+        "value,reason", [(float("nan"), "is not finite"), (float("-inf"), "is not finite"),
+                         (1e39, "does not fit float32")],
+    )
+    def test_index_row_not_finite(self, derived, value, reason):
+        cfg, paths = derived
+        blob = bytearray(paths["index.bin"].read_bytes())
+        count, width = index_count_and_width(blob)
+        n = (len(blob) - index_blob_end(blob)) // (8 * count)
+        row = count // 2
+        struct.pack_into("<d", blob, index_blob_end(blob) + 8 * (row * n + n - 1), value)
+        pid = blob[64 + row * width : 64 + (row + 1) * width].rstrip(b"\0").decode()
+        path = paths["index.bin"].with_name("damaged-index.bin")
+        path.write_bytes(bytes(blob))
+        status, err = run_quiet(query_args(cfg, paths, index=path))
+        assert (status, err) == (1, [f"error: product {pid!r}: its embedding {reason}"])
 
     @staticmethod
     def run_damaged(derived, name, damaged):

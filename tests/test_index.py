@@ -19,8 +19,10 @@ from semmatch.index import (
     load_index,
     rank_all,
     save_index,
+    score_rows,
     top_k,
 )
+from semmatch.evaluation import EvalQuery, run_matching_eval, run_ranking_eval
 from semmatch.model import ModelConfig, model_fingerprint
 from semmatch.tokenizer import UNIGRAM, TokenizerConfig, build_vocabulary
 from semmatch.training import init_model
@@ -206,19 +208,22 @@ class TestRanking:
         for _ in range(20):
             qvec = rng.normal(size=model.n)
             qvec /= np.linalg.norm(qvec)
-            scores, order = rank_all(qvec, index, len(index.ids))
-            ranked = [index.ids[i] for i in order]
+            head, scores = rank_all(qvec, index, len(index.ids))
+            ranked = [index.ids[i] for i in head]
+            every = score_rows(index.matrix, qvec)
             oracle = sorted(
                 range(len(index.ids)),
-                key=lambda i: (-scores[i], index.ids[i]),
+                key=lambda i: (-every[i], index.ids[i]),
             )
             assert ranked == [index.ids[i] for i in oracle]
+            assert scores.tobytes() == every[head].tobytes()
 
     def test_tie_breaks_by_id(self, setup):
         vocab, model, index = setup
         # A zero query vector ties every product at score 0.
-        scores, order = rank_all(np.zeros(model.n), index, len(index.ids))
-        assert [index.ids[i] for i in order] == sorted(index.ids)
+        head, scores = rank_all(np.zeros(model.n), index, len(index.ids))
+        assert [index.ids[i] for i in head] == sorted(index.ids)
+        assert scores.tolist() == [0.0] * len(index.ids)
 
     def test_top_k_tied_rows_ids_ascending(self, setup):
         """Empty texts embed as zero rows, which tie at score 0 exactly under
@@ -233,6 +238,21 @@ class TestRanking:
             items = top_k(text, index, model, vocab, TC, k=5, threshold=-1.0).items
             assert [pid for pid, score in items if score == 0.0] == ["P2", "P5", "P9"]
             assert items == sorted(items, key=lambda item: (-item[1], item[0]))
+
+    def test_equal_texts_score_equally_and_list_by_id(self, setup):
+        """P1 and P7 both embed `green hat`. A BLAS matrix-vector product
+        rounds row 4 of these 6, in its tail, otherwise than row 1 and scored
+        `red shoe` 0.15310194523930123 against 0.15310194523930126."""
+        vocab, model, _ = setup
+        catalog = [("P0", "red shoe"), ("P1", "green hat"), ("P3", "blue shoe"),
+                   ("P5", "red hat"), ("P7", "green hat"), ("P9", "blue coat warm")]
+        index = build_index(catalog, model, vocab, TC)
+        for text in ("red shoe", "warm coat", "blue", "green", "hat"):
+            items = top_k(text, index, model, vocab, TC, k=6, threshold=-1.0).items
+            listed = [pid for pid, _ in items]
+            at = listed.index("P1")
+            assert listed[at + 1] == "P7", text
+            assert items[at][1] == items[at + 1][1], text
 
     def test_top_k_threshold_filters(self, setup):
         vocab, model, index = setup
@@ -315,16 +335,6 @@ class TestIndexFile:
         again = io.BytesIO()
         save_index(loaded, again)
         assert again.getvalue() == blob
-
-    def test_loaded_arrays_owned_and_writable(self, setup, tmp_path):
-        _, _, index = setup
-        path = tmp_path / "index.bin"
-        with open(path, "wb") as f:
-            save_index(index, f)
-        with open(path, "rb") as f:
-            loaded = load_index(f)
-        assert loaded.matrix.flags.owndata and loaded.matrix.flags.writeable
-        assert loaded.matrix.tobytes() == index.matrix.tobytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -441,3 +451,93 @@ class TestIndexFile:
         r1 = top_k("red hat", index, model, vocab, TC, k=3, threshold=-1.0)
         r2 = top_k("red hat", loaded, model, vocab, TC, k=3, threshold=-1.0)
         assert r1.items == r2.items
+
+
+class TestMappedIndex:
+    """An index file is mapped copy-on-write; a BytesIO is read."""
+
+    @pytest.mark.parametrize("catalog", [CATALOG, [], [("", "red shoe")]], ids=["five", "empty", "one-empty-id"])
+    def test_file_load_equals_bytes_load(self, setup, tmp_path, catalog):
+        vocab, model, _ = setup
+        index = build_index(catalog, model, vocab, TC)
+        path = tmp_path / "index.bin"
+        with open(path, "wb") as f:
+            f.write(b"12345")  # the matrix then starts off any 8-byte boundary of the file
+            save_index(index, f)
+        with open(path, "rb") as f:
+            f.seek(5)
+            mapped = load_index(f)
+            assert f.tell() == path.stat().st_size
+        read = load_index(io.BytesIO(path.read_bytes()[5:]))
+        assert mapped.ids == read.ids == index.ids
+        assert mapped.fingerprint == read.fingerprint
+        assert mapped.matrix.tobytes() == read.matrix.tobytes() == index.matrix.tobytes()
+        assert mapped.matrix.flags.writeable
+        again = io.BytesIO()
+        save_index(mapped, again)
+        assert again.getvalue() == path.read_bytes()[5:]
+        for text in ("red shoe", "hat", ""):
+            want = top_k(text, read, model, vocab, TC, k=3, threshold=-1.0).items
+            assert top_k(text, mapped, model, vocab, TC, k=3, threshold=-1.0).items == want
+
+    def test_writes_stay_private(self, setup, tmp_path):
+        _, _, index = setup
+        path = tmp_path / "index.bin"
+        with open(path, "wb") as f:
+            save_index(index, f)
+        before = path.read_bytes()
+        with open(path, "rb") as f:
+            loaded = load_index(f)
+        loaded.matrix[:] = 1.5
+        assert path.read_bytes() == before
+        with open(path, "rb") as f:
+            again = load_index(f)
+        assert again.matrix.tobytes() == index.matrix.tobytes() != loaded.matrix.tobytes()
+
+
+def nan_row_index(size=50, dim=16, bad=7, value=np.nan):
+    """Random unit rows with row `bad` (product P07 by default) set to
+    `value` throughout."""
+    rng = np.random.default_rng(1)
+    matrix = rng.normal(size=(size, dim))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    matrix[bad] = value
+    return ProductIndex.from_ids([f"P{j:02d}" for j in range(size)], matrix, b"\0" * 32)
+
+
+class TestNonFiniteRows:
+    """A row that is not finite is an error naming its product, never a
+    rank: it is rejected where an embedding is computed, and on a loaded
+    index's first use."""
+
+    @pytest.mark.parametrize(
+        "value,reason", [(np.nan, "is not finite"), (np.inf, "is not finite"), (-np.inf, "is not finite"),
+                         (1e39, "does not fit float32"), (2.0**64, "does not fit float32")],
+    )
+    def test_first_use_names_the_product(self, setup, value, reason):
+        vocab, model, _ = setup
+        index = nan_row_index(value=value)
+        with pytest.raises(ValueError, match=f"^product 'P07': its embedding {reason}$"):
+            top_k("red shoe", index, model, vocab, TC, k=1, threshold=-1.0)
+        queries = [EvalQuery("red shoe", {"P07": 1}, set())]
+        with pytest.raises(ValueError, match=f"^product 'P07': its embedding {reason}$"):
+            run_matching_eval(queries, index, model, vocab, TC, k=1)
+
+    def test_largest_float32_rows_accepted(self, setup):
+        vocab, model, _ = setup
+        index = nan_row_index(value=2.0**60)  # squared norm 16 * 2**120 fits float32
+        assert top_k("red shoe", index, model, vocab, TC, k=1, threshold=-1.0).items[0][0] == "P07"
+
+    def test_embedding_rejected_when_computed(self, setup):
+        """A NaN in the row of a token only product texts use: the queries
+        embed, the products holding it do not."""
+        vocab, model, _ = setup
+        model.query_matrix[vocab.ids_by_class[UNIGRAM]["coat"]] = np.nan
+        catalog = CATALOG + [("P0", "warm coat")]
+        with pytest.raises(ValueError, match="^product 'P0': its embedding is not finite$"):
+            build_index(catalog, model, vocab, TC)
+        queries = [EvalQuery("red shoe", {"P1": 1}, {"P5", "P2"})]
+        with pytest.raises(ValueError, match="^product 'P5': its embedding is not finite$"):
+            run_ranking_eval(queries, dict(CATALOG), model, vocab, TC)
+        with pytest.raises(ValueError, match="^query 'warm coat': its embedding is not finite$"):
+            top_k("warm coat", build_index(CATALOG[:4], model, vocab, TC), model, vocab, TC, k=1, threshold=-1.0)

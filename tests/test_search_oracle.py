@@ -1,12 +1,13 @@
 """Exact retrieval and matching eval against the full-sort oracle.
 
 The oracle (search_oracle.py) is the straightforward path: encode each text
-on its own with the per-text encoder, score with one matrix-vector product
-per query, lexsort every product by (score desc, id asc), walk that order
+on its own with the per-text encoder, score every row in float64 with
+score_rows, lexsort every product by (score desc, id asc), walk that order
 for top_k, and score the matching metrics over the whole ranked id list.
-The library encodes in batches, scores the matching eval's queries in
-blocks, selects only the head of the ranking and counts positions instead;
-both must agree exactly.
+The library encodes in batches, screens in float32 (the matching eval's
+queries in blocks), scores only the rows the screen cannot place, selects
+only the head of the ranking and counts positions instead; both must agree
+exactly.
 """
 
 from unittest import mock
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from metric_oracle import mrr, ndcg
 from search_oracle import oracle_embed, oracle_matching_eval, oracle_order, oracle_top_k
 from semmatch import evaluation
+from semmatch import index as index_mod
 from semmatch.evaluation import EvalQuery, MetricReport, positions, run_matching_eval, run_ranking_eval
-from semmatch.index import ProductIndex, rank_all, top_k
+from semmatch.index import ProductIndex, rank_all, score_rows, screen_queries, top_k
 from semmatch.model import ModelConfig
 from semmatch.tokenizer import UNIGRAM, TokenizerConfig, build_vocabulary
 from semmatch.training import init_model
@@ -96,14 +98,14 @@ class TestHeadSelection:
         rng = np.random.default_rng(seed)
         # A zero query, a catalog row and a coarse grid vector.
         for qvec in (np.zeros(model.n), index.matrix[rng.integers(size)], rng.integers(-1, 2, model.n) / 2.0):
-            scores, head = rank_all(qvec, index, k)
+            head, scores = rank_all(qvec, index, k)
             want_scores, order = oracle_order(qvec, index)
-            assert scores.tobytes() == want_scores.tobytes()
             assert head.tolist() == order[:k].tolist()
+            assert scores.tobytes() == want_scores[head].tobytes()
             rank_of = np.empty(size, dtype=np.int64)
             rank_of[order] = np.arange(1, size + 1)
             rows = np.arange(size)
-            assert positions(scores, rows).tolist() == rank_of.tolist()
+            assert positions(want_scores, rows).tolist() == rank_of.tolist()
 
 
 class TestMatchingEval:
@@ -151,16 +153,17 @@ def many_queries(seed, index, count):
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """The purchased rows of each query the matching eval ranks from the
-    per-query scan's own scores."""
+def settled(monkeypatch):
+    """How many rows each float64 score_rows call of the matching eval
+    scores: per query its purchased rows, then for each of them whose screen
+    window holds other rows, the rows of that window, itself included."""
     calls = []
 
-    def spy(scores, rows):
-        calls.append(rows.tolist())
-        return positions(scores, rows)
+    def spy(rows, qvec):
+        calls.append(len(rows))
+        return score_rows(rows, qvec)
 
-    monkeypatch.setattr(evaluation, "positions", spy)
+    monkeypatch.setattr(evaluation, "score_rows", spy)
     return calls
 
 
@@ -171,8 +174,9 @@ def assert_same_report(got, want):
 
 
 class TestBlockedScoring:
-    """The matching eval scores its queries in blocks with one matrix product
-    each, and must give the per-query scan's ranks bit for bit."""
+    """The matching eval screens its queries in blocks with one float32
+    matrix product each, and must give the ranks of score_rows over every
+    row bit for bit."""
 
     @SETTINGS
     @given(
@@ -215,8 +219,11 @@ class TestBlockedScoring:
         size=st.integers(1, 60),
     )
     def test_block_and_scan_scores_within_twice_the_bound(self, seed, dim, n_queries, size):
-        """Unit or zero rows, and unit or zero queries scaled by powers of two
-        from where every product underflows to where the norms are large."""
+        """The float32 block screen and score_rows differ by at most e, the
+        float32 and the float64 bound added. Unit or zero rows and queries,
+        scaled by powers of two from where float32 flushes them to zero to
+        where a query's norm passes 2**60 (then e is infinite and the screen
+        keeps every row)."""
         rng = np.random.default_rng(seed)
 
         def unit_or_zero(n):
@@ -225,30 +232,33 @@ class TestBlockedScoring:
             x[rng.random(n) < 0.2] = 0.0
             return x
 
-        matrix = unit_or_zero(size)
-        exponents = rng.choice([-1070, -1040, -1000, -540, -30, 0, 30, 500], size=(n_queries, 1))
+        matrix = unit_or_zero(size) * np.exp2(rng.choice([-160, -130, -60, 0, 20, 60], size=(size, 1)))
+        exponents = rng.choice([-1070, -160, -130, -30, 0, 30, 59, 61], size=(n_queries, 1))
         qvecs = unit_or_zero(n_queries) * np.exp2(exponents)
         index = ProductIndex.from_ids(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
-        e = evaluation._dot_error(np.linalg.norm(qvecs, axis=1), index.max_row_norm, dim)
-        for qvec, scores, bound in zip(qvecs, qvecs @ matrix.T, e):
-            assert np.all(np.abs(scores - matrix @ qvec) <= 2 * bound)
+        screen, _ = index.screen
+        q32, e = screen_queries(qvecs, index)
+        assert np.isinf(e).tolist() == (np.linalg.norm(qvecs, axis=1) > 2.0**60).tolist()
+        for qvec, coarse, bound in zip(qvecs, (q32 @ screen.T).astype(np.float64), e):
+            assert np.all(np.abs(coarse - score_rows(matrix, qvec)) <= bound)
 
-    def test_duplicate_of_a_purchase_takes_the_scan(self, model_vocab, fallbacks):
+    def test_duplicate_of_a_purchase_takes_the_scan(self, model_vocab, settled):
         """A copy of one query's purchased row, under another id, ties with it:
-        that query alone is ranked from the scan; a generic index needs the
-        scan for no query."""
+        that row alone is scored beside it in float64; in a generic index the
+        screen places every other row."""
         model, vocab = model_vocab
         texts = [t for t in QUERIES if t]  # an empty query scores every product 0
         index = untied_index(9, 50, model.n)
         queries = [EvalQuery(t, {index.ids[n]: 1, index.ids[10 + n]: 1}, set()) for n, t in enumerate(texts)]
         got = run_matching_eval(queries, index, model, vocab, TC, k=5)
-        assert fallbacks == []
+        assert settled == [2] * len(texts)
         assert_same_report(got, oracle_matching_eval(queries, index, model, vocab, TC, k=5))
+        settled.clear()
         dup = ProductIndex.from_ids(
             ids=index.ids + ["p050"], matrix=np.vstack([index.matrix, index.matrix[13]]), fingerprint=b"\0" * 32
         )
         got = run_matching_eval(queries, dup, model, vocab, TC, k=5)
-        assert fallbacks == [[3, 13]]
+        assert settled == [2] * 3 + [2, 2] + [2] * (len(texts) - 4)  # query 3 bought rows 3 and 13
         assert_same_report(got, oracle_matching_eval(queries, dup, model, vocab, TC, k=5))
 
     @settings(max_examples=60, deadline=None)
@@ -275,21 +285,29 @@ class TestBlockedScoring:
         assert got.per_query["matching_mrr"] == [1 / (1 + order.tolist().index(0))] * 4
 
     @pytest.mark.parametrize("beyond", [False, True])
-    def test_score_at_the_window_edge_takes_the_scan(self, model_vocab, monkeypatch, fallbacks, beyond):
-        """Another product's score exactly 4e from a purchased one's is close
-        enough for the scan to tie or reorder them; one step beyond is not."""
+    def test_score_at_the_window_edge_takes_the_scan(self, model_vocab, monkeypatch, settled, beyond):
+        """Another product screened exactly at the edge of a purchased one's
+        window, e above its score rounded up to float32, is scored in
+        float64; one float32 step beyond is placed by the screen alone."""
         model, vocab = model_vocab
         dim = model.n
         qvec = np.zeros((1, dim))
-        qvec[0, 0] = 1.0  # every score below is exact in any kernel
-        window = 4 * evaluation._dot_error(np.array([1.0]), 1.0, dim)[0]
-        edge = np.nextafter(window, np.inf) if beyond else window
+        qvec[0, 0] = 1.0  # every score below is exact in any kernel and precision
         matrix = np.zeros((3, dim))
-        matrix[1, 0], matrix[2, 0] = edge, 1.0  # row 0 scores 0, the purchase
-        index = ProductIndex.from_ids(ids=["a", "b", "c"], matrix=matrix, fingerprint=b"\0" * 32)
+        matrix[2, 0] = 1.0  # row 0 scores 0, the purchase; row 2 scores 1
+
+        def index_with(edge):
+            matrix[1, 0] = edge
+            return ProductIndex.from_ids(ids=["a", "b", "c"], matrix=matrix.copy(), fingerprint=b"\0" * 32)
+
+        _, e = screen_queries(qvec, index_with(0.0))  # the largest row sets e, whatever row 1 holds
+        high = index_mod.round32(e[0], np.inf)
+        edge = np.nextafter(high, np.float32(np.inf)) if beyond else high
+        index = index_with(float(edge))
+        assert screen_queries(qvec, index)[1].tolist() == e.tolist()
         monkeypatch.setattr(evaluation, "_embed_texts", lambda *args: qvec)
         got = run_matching_eval([EvalQuery("red", {"a": 1}, set())], index, model, vocab, TC, k=5)
-        assert fallbacks == ([] if beyond else [[0]])
+        assert settled == ([1] if beyond else [1, 2])
         assert got.per_query["matching_mrr"] == [1 / 3]
 
 
@@ -317,7 +335,7 @@ def oracle_ranking_eval(queries, product_texts, model, vocab, config):
         candidates = sorted(set(q.purchased) | q.impressed)
         qvec = oracle_embed([q.text], "query", model, vocab, config)[0]
         cand_matrix = oracle_embed([product_texts[pid] for pid in candidates], "product", model, vocab, config)
-        score_of = dict(zip(candidates, cand_matrix @ qvec))
+        score_of = dict(zip(candidates, score_rows(cand_matrix, qvec)))
         ranked = sorted(candidates, key=lambda pid: (-score_of[pid], pid))
         gains = {pid: float(c) for pid, c in q.purchased.items()}
         report.add({"ranking_ndcg": ndcg(ranked, gains), "ranking_mrr": mrr(ranked, set(q.purchased))})
@@ -342,3 +360,119 @@ class TestRankingEval:
         assert got.per_query == want.per_query
         assert (got.evaluated, got.skipped) == (want.evaluated, want.skipped)
         assert got.means == want.means
+
+
+def twin_index(seed, size, dim, last):
+    """Random normal rows, one of them copied to a later row (the last one
+    when `last`), and a random unit query. Returns the index, the two rows
+    and the query. (Unit rows of width 1 would all tie at +-1.)"""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(size, dim))
+    a = int(rng.integers(0, size - 1))
+    b = size - 1 if last else int(rng.integers(a + 1, size))
+    matrix[b] = matrix[a]
+    qvec = rng.normal(size=dim)
+    qvec /= np.linalg.norm(qvec)
+    ids = [f"p{j:04d}" for j in range(size)]
+    return ProductIndex.from_ids(ids=ids, matrix=matrix, fingerprint=b"\0" * 32), a, b, qvec
+
+
+class TestTwinRows:
+    """Byte-identical rows score equally and list by id, wherever they sit:
+    in top_k, in the matching eval's ranks and in the ranking eval. A BLAS
+    matrix-vector product can round the rows of its tail otherwise."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(5, 3000),
+        dim=st.integers(1, 129),
+        last=st.booleans(),
+    )
+    @example(seed=0, size=2999, dim=64, last=True)
+    @example(seed=1, size=6, dim=7, last=True)
+    def test_twins_tie_and_list_by_id(self, model_vocab, seed, size, dim, last):
+        model, vocab = model_vocab
+        index, a, b, qvec = twin_index(seed, size, dim, last)
+        ids = index.ids
+        with mock.patch.object(index_mod, "embed_query", lambda *args: qvec):
+            items = top_k("q", index, model, vocab, TC, k=size, threshold=-np.inf).items
+            listed = [pid for pid, _ in items]
+            at = listed.index(ids[a])
+            assert listed[at + 1] == ids[b]
+            assert items[at][1] == items[at + 1][1]
+            # Cut between the twins: the screen must keep both to order them.
+            assert top_k("q", index, model, vocab, TC, k=at + 1, threshold=-np.inf).items == items[: at + 1]
+
+        queries = [EvalQuery("q", {ids[a]: 1}, set()), EvalQuery("q", {ids[b]: 1}, set())]
+        with mock.patch.object(evaluation, "_embed_texts", lambda *args: np.tile(qvec, (2, 1))):
+            got = run_matching_eval(queries, index, model, vocab, TC, k=1)
+        assert got.per_query["matching_mrr"] == [1 / (at + 1), 1 / (at + 2)]
+
+        def embed(texts, side, *args):
+            """Queries embed as qvec; product text j as the index's row j."""
+            if side == "query":
+                return np.tile(qvec, (len(texts), 1))
+            return index.matrix[[int(t) for t in texts]]
+
+        product_texts = {pid: str(row) for row, pid in enumerate(ids)}
+        product_texts[ids[b]] = str(a)  # twin texts
+        queries = [EvalQuery("q", {pid: 1}, set(ids) - {pid}) for pid in (ids[a], ids[b])]
+        with mock.patch.object(evaluation, "_embed_texts", embed):
+            got = run_ranking_eval(queries, product_texts, model, vocab, TC)
+        assert got.per_query["ranking_mrr"] == [1 / (at + 1), 1 / (at + 2)]
+
+
+def near_tie_index(seed, size, dim):
+    """Rows and a positive query whose float64 scores lie within a few screen
+    bounds of one another, drawn so that rounding to float32 moves them
+    coherently. Each row component is a float32 of +-[1, 1 + 2**-13), its
+    sign fixed per column, nudged by 0, +0.49 or -0.49 of its float32
+    spacing, one nudge per row: float32 keeps the grid value, so a nudged
+    row's screen score falls short of (or passes) its float64 score by up to
+    0.98 u * sum |row_j q_j|. Mixed signs cancel in the score, so the float32
+    spacing at the score can be far finer than e. The query is nudged up."""
+    rng = np.random.default_rng(seed)
+    step = 2.0**-23  # float32 spacing on [1, 2)
+    base = 1 + rng.integers(1, 2**10, size=dim) * step
+    grid = (base + rng.integers(0, 4, size=(size, dim)) * step) * rng.choice([-1.0, 1.0], size=dim)
+    matrix = grid + rng.choice([-0.49, 0.0, 0.49], size=(size, 1)) * step
+    qvec = 1 + rng.integers(1, 2**10, size=dim) * step + 0.49 * step
+    index = ProductIndex.from_ids(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
+    return index, qvec
+
+
+class TestScreenBound:
+    """Rows scoring within a few screen bounds e of the k-th score, of the
+    threshold and of a purchased row: top_k and the matching eval must still
+    equal the float64 full scan. Small widths make the float32 rounding of
+    the rows and the query most of e."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 60),
+        dim=st.sampled_from([1, 2, 3, 8]),
+        data=st.data(),
+    )
+    def test_near_ties_equal_full_scan(self, model_vocab, seed, size, dim, data):
+        model, vocab = model_vocab
+        index, qvec = near_tie_index(seed, size, dim)
+        scores, order = oracle_order(qvec, index)
+        _, e = screen_queries(qvec[None, :], index)
+        k = data.draw(st.integers(1, size))
+        # A threshold at a row's score, or a few e away from it.
+        threshold = float(scores[data.draw(st.integers(0, size - 1))]) + data.draw(st.integers(-3, 3)) / 2 * e[0]
+        head, got = rank_all(qvec, index, k, threshold)
+        want = [row for row in order.tolist() if scores[row] >= threshold][:k]
+        assert head.tolist() == want
+        assert got.tobytes() == scores[want].tobytes()
+        head, _ = rank_all(qvec, index, k)
+        assert head.tolist() == order[:k].tolist()
+
+        rank_of = np.empty(size, dtype=np.int64)
+        rank_of[order] = np.arange(1, size + 1)
+        queries = [EvalQuery("q", {pid: 1}, set()) for pid in index.ids]
+        with mock.patch.object(evaluation, "_embed_texts", lambda *args: np.tile(qvec, (size, 1))):
+            got = run_matching_eval(queries, index, model, vocab, TC, k=1)
+        assert got.per_query["matching_mrr"] == (1 / rank_of).tolist()
