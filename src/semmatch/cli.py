@@ -151,19 +151,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     queries = evaluation.load_eval_queries(records)
     k = args.k if args.k is not None else cfg.eval_k
 
-    reports = []
+    reports = {}
     if args.task in ("matching", "both"):
         idx = index_mod.build_index(catalog, model, vocab, cfg.tokenizer)
-        reports.append(
-            evaluation.run_matching_eval(queries, idx, model, vocab, cfg.tokenizer, k=k)
-        )
+        reports["matching"] = evaluation.run_matching_eval(queries, idx, model, vocab, cfg.tokenizer, k=k)
     if args.task in ("ranking", "both"):
         texts = dict(catalog)
-        reports.append(
-            evaluation.run_ranking_eval(queries, texts, model, vocab, cfg.tokenizer)
-        )
+        reports["ranking"] = evaluation.run_ranking_eval(queries, texts, model, vocab, cfg.tokenizer)
+    for task, report in reports.items():
+        if not report.evaluated:
+            need = "a purchase" if task == "matching" else "a purchase and an impression"
+            raise ValueError(f"{task} evaluation: no query in {logs_path} has {need}")
     _log(f"evaluated: {logs_path}")
-    print(evaluation.format_report(reports))
+    print(evaluation.format_report(reports.values()))
     if args.out:
         evaluation.write_metrics_file(args.out, reports)
         _log(f"metrics written: {args.out}")

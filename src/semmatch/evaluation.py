@@ -11,12 +11,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .atomic import atomic_write
-from .index import ProductIndex, _embed_texts, round32, score_rows, screen_queries
+from .index import ProductIndex, _embed_texts, positions, rank_rows, score_rows
 from .model import EmbeddingModel
 from .synth import LogRecord
 from .tokenizer import TokenizerConfig, Vocabulary
-
-_SCORE_BLOCK = 2**20  # screen scores per matrix product in the matching eval: 4 MB of float32
 
 
 @dataclass
@@ -40,14 +38,6 @@ def load_eval_queries(logs: Iterable[LogRecord]) -> list[EvalQuery]:
     for q in by_query.values():
         q.impressed -= set(q.purchased)
     return list(by_query.values())
-
-
-def positions(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """1-based positions of `rows` in the full (score desc, row asc) order of
-    `scores`, counted without sorting."""
-    s = scores[rows][:, None]
-    ahead = (scores > s) | ((scores == s) & (np.arange(len(scores)) < rows[:, None]))
-    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def _dcg(ranks: Iterable[int], gains: Iterable[float]) -> float:
@@ -84,34 +74,6 @@ class MetricReport:
         }
 
 
-def _ranks(
-    coarse: np.ndarray,
-    rows: np.ndarray,
-    scores: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    qvec: np.ndarray,
-    matrix: np.ndarray,
-) -> list[int]:
-    """1-based positions of `rows`, which score `scores`, in the full (score
-    desc, row asc) order of score_rows(matrix, qvec). `coarse` holds every
-    row's float32 screen score, each within e of its row's score, and
-    `lows` and `highs` each score -+ e rounded outward to float32. A row
-    screened above the high scores surely higher, one screened below the
-    low surely lower. Only a window holding more than the row itself is
-    scored."""
-    ranks = []
-    for row, s, low, high in zip(rows, scores, lows, highs):
-        higher = np.count_nonzero(coarse > high)
-        rank = 1 + higher
-        if np.count_nonzero(coarse >= low) - higher > 1:
-            near = np.flatnonzero((coarse >= low) & (coarse <= high))
-            settled = score_rows(matrix[near], qvec)
-            rank += int(np.count_nonzero((settled > s) | ((settled == s) & (near < row))))
-        ranks.append(rank)
-    return ranks
-
-
 def run_matching_eval(
     queries: list[EvalQuery],
     index: ProductIndex,
@@ -123,16 +85,10 @@ def run_matching_eval(
     """Score the whole corpus per query; purchased items are the relevant set.
 
     Every metric comes from the ascending ranks of the purchased products in
-    the full (score desc, id asc) order of score_rows: Recall@k and AP@k from
-    those within k, NDCG and MRR from all of them. A purchased product
-    missing from the index has no rank and counts only in the denominators
-    and the IDCG.
-
-    The queries are screened `_SCORE_BLOCK // products` at a time with one
-    float32 matrix product against index.screen. Each purchased product is
-    then ranked by _ranks, which scores in float64 only the rows whose screen
-    scores come within the bound of screen_queries of its score, and only
-    when there are others than itself.
+    the full (score desc, id asc) order of score_rows (index.rank_rows):
+    Recall@k and AP@k from those within k, NDCG and MRR from all of them. A
+    purchased product missing from the index has no rank and counts only in
+    the denominators and the IDCG.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -140,34 +96,21 @@ def run_matching_eval(
     live = [q for q in queries if q.purchased]
     report = MetricReport(skipped=len(queries) - len(live))
     qvecs = _embed_texts([q.text for q in live], "query", model, vocab, config)
-    screen, _ = index.screen
-    q32, errors = screen_queries(qvecs, index)
     purchased = [np.array([row_of[pid] for pid in q.purchased if pid in row_of], dtype=np.intp) for q in live]
-    scores = [score_rows(index.matrix[rows], qvec) for rows, qvec in zip(purchased, qvecs)]
-    # Every window bound of the call, rounded in one call per side.
-    sizes = [len(rows) for rows in purchased]
-    flat, e, cuts = np.concatenate([np.zeros(0), *scores]), np.repeat(errors, sizes), np.cumsum(sizes)[:-1]
-    lows, highs = np.split(round32(flat - e, -np.inf), cuts), np.split(round32(flat + e, np.inf), cuts)
-    step = max(1, _SCORE_BLOCK // max(1, len(screen)))
-    for start in range(0, len(live), step):
-        block = slice(start, start + step)
-        for q, qvec, coarse, rows, s, low, high in zip(
-            live[block], qvecs[block], q32[block] @ screen.T, purchased[block], scores[block], lows[block], highs[block]
-        ):
-            n = len(q.purchased)
-            ranks = sorted(_ranks(coarse, rows, s, low, high, qvec, index.matrix))
-            hits = bisect.bisect_right(ranks, k)
-            ap = 0.0  # precision at each hit within k, added in rank order
-            for j, rank in enumerate(ranks[:hits], start=1):
-                ap += j / rank
-            report.add(
-                {
-                    "recall": hits / n,
-                    "map": ap / n,
-                    "matching_ndcg": _ndcg(ranks, [1.0] * len(ranks), [1.0] * n),
-                    "matching_mrr": _mrr(ranks),
-                }
-            )
+    for q, ranks in zip(live, rank_rows(qvecs, purchased, index)):
+        n = len(q.purchased)
+        hits = bisect.bisect_right(ranks, k)
+        ap = 0.0  # precision at each hit within k, added in rank order
+        for j, rank in enumerate(ranks[:hits], start=1):
+            ap += j / rank
+        report.add(
+            {
+                "recall": hits / n,
+                "map": ap / n,
+                "matching_ndcg": _ndcg(ranks, [1.0] * len(ranks), [1.0] * n),
+                "matching_mrr": _mrr(ranks),
+            }
+        )
     report.finalize()
     return report
 
@@ -208,7 +151,7 @@ def run_ranking_eval(
     return report
 
 
-def format_report(reports: list[MetricReport]) -> str:
+def format_report(reports: Iterable[MetricReport]) -> str:
     """Aligned text table over the union of metric columns."""
     names: list[str] = []
     merged: dict[str, float] = {}
@@ -222,13 +165,16 @@ def format_report(reports: list[MetricReport]) -> str:
     return header + "\n" + row
 
 
-def write_metrics_file(path: str, reports: list[MetricReport]) -> None:
-    """Machine-readable `metric = value` lines, deterministic ordering."""
-    merged: dict[str, float] = {}
-    for r in reports:
-        merged.update(r.means)
+def write_metrics_file(path: str, reports: Mapping[str, MetricReport]) -> None:
+    """Machine-readable `name = value` lines in name order: each report's
+    means, and its counts as `<task>_queries_evaluated` and
+    `<task>_queries_skipped`, so the lines of several tasks are those each
+    writes alone."""
+    lines: dict[str, float | int] = {}
+    for task, r in reports.items():
+        lines.update(r.means)
+        lines[f"{task}_queries_evaluated"] = r.evaluated
+        lines[f"{task}_queries_skipped"] = r.skipped
     with atomic_write(path, "w") as f:
-        for name in sorted(merged):
-            f.write(f"{name} = {merged[name]!r}\n")
-        f.write(f"queries_evaluated = {sum(r.evaluated for r in reports)}\n")
-        f.write(f"queries_skipped = {sum(r.skipped for r in reports)}\n")
+        for name in sorted(lines):
+            f.write(f"{name} = {lines[name]!r}\n")

@@ -19,6 +19,7 @@ _IDX_MAGIC = b"SMINDEX4"
 _IDX_VERSION = 4
 _IDX_HEADER = struct.Struct("<IQIQ32s")  # version, count, n, id width, model fingerprint
 _EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays near 2 MB
+_SCORE_BLOCK = 2**20  # screen scores per matrix product in rank_rows: 4 MB of float32
 # Screened queries have norms up to this. A screen row's squared norm is a
 # finite float32, so its norm is below 2**64, and every float32 sum of a
 # screen dot stays below 2**125 (ProductIndex.screen).
@@ -31,6 +32,14 @@ def score_rows(rows: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
     and a gathered row scores as it does in the whole matrix; a BLAS
     matrix-vector product can round the rows of its tail differently."""
     return np.einsum("ij,j->i", rows, query_vec)
+
+
+def positions(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1-based positions of `rows` in the full (score desc, row asc) order of
+    `scores`, counted without sorting."""
+    s = scores[rows][:, None]
+    ahead = (scores > s) | ((scores == s) & (np.arange(len(scores)) < rows[:, None]))
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def _dot_error(qnorms: np.ndarray, row_norm: float, dim: int, dtype: type) -> np.ndarray:
@@ -246,6 +255,45 @@ def rank_all(
         rows, scores = rows[keep], scores[keep]
     order = np.argsort(-scores, kind="stable")[:k]  # rows ascend, so ties keep id order
     return rows[order], scores[order]
+
+
+def rank_rows(qvecs: np.ndarray, rows: Sequence[np.ndarray], index: ProductIndex) -> list[list[int]]:
+    """Per query of the (queries, N) `qvecs`, the ascending 1-based
+    positions of its `rows` in the full (score desc, row asc) order of
+    score_rows(index.matrix, q).
+
+    Exact: each float32 screen score is within e of its row's score
+    (screen_queries). With a row's score s, a row screened above s + e
+    rounded up to float32 scores surely higher, one screened below s - e
+    rounded down surely lower. Only a window holding more than the row
+    itself is scored, and settled by positions.
+
+    The queries are screened `_SCORE_BLOCK // products` at a time with one
+    float32 matrix product against index.screen."""
+    screen, _ = index.screen
+    q32, errors = screen_queries(qvecs, index)
+    scores = [score_rows(index.matrix[r], qvec) for r, qvec in zip(rows, qvecs)]
+    # Every window bound of the call, rounded in one call per side.
+    sizes = [len(r) for r in rows]
+    flat, e, cuts = np.concatenate([np.zeros(0), *scores]), np.repeat(errors, sizes), np.cumsum(sizes)[:-1]
+    lows, highs = np.split(round32(flat - e, -np.inf), cuts), np.split(round32(flat + e, np.inf), cuts)
+    step = max(1, _SCORE_BLOCK // max(1, len(screen)))
+    ranked = []
+    for start in range(0, len(qvecs), step):
+        block = slice(start, start + step)
+        for qvec, coarse, r, low, high in zip(
+            qvecs[block], q32[block] @ screen.T, rows[block], lows[block], highs[block]
+        ):
+            ranks = []
+            for row, lo, hi in zip(r, low, high):
+                higher = np.count_nonzero(coarse > hi)
+                if np.count_nonzero(coarse >= lo) - higher > 1:
+                    near = np.flatnonzero((coarse >= lo) & (coarse <= hi))
+                    settled = score_rows(index.matrix[near], qvec)
+                    higher += int(positions(settled, np.searchsorted(near, [row]))[0]) - 1
+                ranks.append(1 + higher)
+            ranked.append(sorted(ranks))
+    return ranked
 
 
 def top_k(

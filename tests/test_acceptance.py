@@ -15,7 +15,7 @@ import pytest
 from metric_oracle import average_precision, mrr, ndcg, recall_at_k
 from search_oracle import oracle_matching_eval
 
-from semmatch import evaluation
+from semmatch import index as index_mod
 from semmatch.cli import main as cli_main
 from semmatch.evaluation import load_eval_queries, run_matching_eval
 from semmatch.index import build_index, load_index, save_index
@@ -578,8 +578,8 @@ def test_blocked_matching_eval_certified_on_standard_fixture(standard_fixture, m
     model, vocab = standard_fixture["model"]["hinge3"], standard_fixture["vocab"]
     index = build_index(corpus.catalog, model, vocab, STANDARD_TOK)
     settled = []
-    score_rows = evaluation.score_rows
-    monkeypatch.setattr(evaluation, "score_rows", lambda rows, q: settled.append(len(rows)) or score_rows(rows, q))
+    score_rows = index_mod.score_rows
+    monkeypatch.setattr(index_mod, "score_rows", lambda rows, q: settled.append(len(rows)) or score_rows(rows, q))
     got = run_matching_eval(queries, index, model, vocab, STANDARD_TOK, k=100)
     want = oracle_matching_eval(queries, index, model, vocab, STANDARD_TOK, k=100)
     assert got.evaluated == want.evaluated

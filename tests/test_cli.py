@@ -244,6 +244,22 @@ class TestPipeline:
         assert run(query_args(cfg, paths) + ["--k", 5]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
+    def test_both_writes_the_lines_of_each_task(self, derived, tmp_path):
+        """`--task both` writes the matching and the ranking lines, each
+        task's counts under its own key."""
+        cfg, paths = derived
+        lines = {}
+        for task in ("matching", "ranking", "both"):
+            out = tmp_path / f"{task}.txt"
+            status, _ = run_quiet(["evaluate", "--task", task, "--model", paths["model.bin"], "--vocab",
+                                   paths["vocab.txt"], "--config", cfg, "--data", paths["data"], "--out", out])
+            assert status == 0
+            lines[task] = out.read_text().splitlines()
+        with open(paths["data"] / "eval_logs.tsv") as f:
+            queries = {line.split("\t")[0] for line in f}
+        assert f"matching_queries_evaluated = {len(queries)}" in lines["matching"]
+        assert lines["both"] == sorted(lines["matching"] + lines["ranking"])
+
     def test_query_defaults_from_config(self, derived, capsys):
         cfg, paths = derived
         capsys.readouterr()
@@ -599,6 +615,23 @@ class TestErrors:
         status, err = run_quiet(["evaluate", "--task", "ranking", "--model", paths["model.bin"],
                                  "--vocab", paths["vocab.txt"], "--config", cfg, "--data", data])
         assert (status, err) == (0, [f"evaluated: {data / 'logs.tsv'}"])
+
+    @pytest.mark.parametrize("task, kept", [("matching", "impressed"), ("ranking", "purchased")])
+    def test_evaluation_of_no_query_exits_one(self, derived, tmp_path, task, kept):
+        """Eval logs of impressed rows alone leave the matching task no
+        query, and of purchased rows alone the ranking task."""
+        cfg, paths = derived
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "catalog.tsv").write_bytes((paths["data"] / "catalog.tsv").read_bytes())
+        rows = (paths["data"] / "eval_logs.tsv").read_text().splitlines(keepends=True)
+        (data / "eval_logs.tsv").write_text("".join(r for r in rows if r.split("\t")[3] == kept))
+        out = tmp_path / "metrics.txt"
+        status, err = run_quiet(["evaluate", "--task", task, "--model", paths["model.bin"], "--vocab",
+                                 paths["vocab.txt"], "--config", cfg, "--data", data, "--out", out])
+        need = "a purchase" if task == "matching" else "a purchase and an impression"
+        assert (status, err) == (1, [f"error: {task} evaluation: no query in {data / 'eval_logs.tsv'} has {need}"])
+        assert not out.exists()
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -145,15 +145,32 @@ class TestLoadEvalQueries:
 
 
 class TestWriteMetricsFile:
+    def test_each_task_writes_its_own_counts(self, tmp_path):
+        """Two tasks write the lines each writes alone, in name order."""
+        matching = MetricReport(means={"recall": 0.5, "map": 0.25}, evaluated=2, skipped=1)
+        ranking = MetricReport(means={"ranking_ndcg": 0.75}, evaluated=3)
+        texts = {}
+        for name, reports in [("m", {"matching": matching}), ("r", {"ranking": ranking}),
+                              ("both", {"matching": matching, "ranking": ranking})]:
+            write_metrics_file(str(tmp_path / name), reports)
+            texts[name] = (tmp_path / name).read_text()
+        assert texts["m"] == "map = 0.25\nmatching_queries_evaluated = 2\nmatching_queries_skipped = 1\nrecall = 0.5\n"
+        assert texts["both"].splitlines() == sorted(texts["m"].splitlines() + texts["r"].splitlines())
+
     def test_failed_write_leaves_the_previous_file(self, tmp_path):
-        """A write that raises after the metric lines leaves the previous
+        """A write that raises after the first lines leaves the previous
         file whole and no temporary file beside it."""
+
+        class Unwritable:
+            def __repr__(self):
+                raise TypeError("no text")
+
         path = tmp_path / "metrics.txt"
-        write_metrics_file(str(path), [MetricReport(means={"recall": 0.5}, evaluated=2)])
+        write_metrics_file(str(path), {"matching": MetricReport(means={"recall": 0.5}, evaluated=2)})
         before = path.read_text()
-        assert before == "recall = 0.5\nqueries_evaluated = 2\nqueries_skipped = 0\n"
-        bad = MetricReport(means={"recall": 0.25}, evaluated="two")  # queries_evaluated's sum raises
+        assert before == "matching_queries_evaluated = 2\nmatching_queries_skipped = 0\nrecall = 0.5\n"
+        bad = MetricReport(means={"recall": Unwritable()}, evaluated=2)  # written after the counts
         with pytest.raises(TypeError):
-            write_metrics_file(str(path), [bad])
+            write_metrics_file(str(path), {"matching": bad})
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.txt"]

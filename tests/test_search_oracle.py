@@ -21,8 +21,8 @@ from metric_oracle import mrr, ndcg
 from search_oracle import oracle_embed, oracle_matching_eval, oracle_order, oracle_top_k
 from semmatch import evaluation
 from semmatch import index as index_mod
-from semmatch.evaluation import EvalQuery, MetricReport, positions, run_matching_eval, run_ranking_eval
-from semmatch.index import ProductIndex, rank_all, score_rows, screen_queries, top_k
+from semmatch.evaluation import EvalQuery, MetricReport, run_matching_eval, run_ranking_eval
+from semmatch.index import ProductIndex, positions, rank_all, rank_rows, score_rows, screen_queries, top_k
 from semmatch.model import ModelConfig
 from semmatch.tokenizer import UNIGRAM, TokenizerConfig, build_vocabulary
 from semmatch.training import init_model
@@ -163,7 +163,7 @@ def settled(monkeypatch):
         calls.append(len(rows))
         return score_rows(rows, qvec)
 
-    monkeypatch.setattr(evaluation, "score_rows", spy)
+    monkeypatch.setattr(index_mod, "score_rows", spy)
     return calls
 
 
@@ -191,7 +191,7 @@ class TestBlockedScoring:
         model, vocab = model_vocab
         index = tied_index(seed, size, model, vocab) if tied else untied_index(seed, size, model.n)
         queries = eval_queries(seed, index)
-        with mock.patch.object(evaluation, "_SCORE_BLOCK", (per_block or len(queries)) * max(1, size)):
+        with mock.patch.object(index_mod, "_SCORE_BLOCK", (per_block or len(queries)) * max(1, size)):
             got = run_matching_eval(queries, index, model, vocab, TC, k=k)
         assert_same_report(got, oracle_matching_eval(queries, index, model, vocab, TC, k=k))
 
@@ -203,7 +203,7 @@ class TestBlockedScoring:
         index = tied_index(8, size, model, vocab) if tied else untied_index(8, size, model.n)
         queries = many_queries(8, index, 70)
         if per_block:
-            monkeypatch.setattr(evaluation, "_SCORE_BLOCK", per_block * size)
+            monkeypatch.setattr(index_mod, "_SCORE_BLOCK", per_block * size)
         whole = run_matching_eval(queries, index, model, vocab, TC, k=10)
         chunks = [run_matching_eval(queries[i : i + 20], index, model, vocab, TC, k=10) for i in range(0, 70, 20)]
         for name, values in whole.per_query.items():
@@ -309,6 +309,39 @@ class TestBlockedScoring:
         got = run_matching_eval([EvalQuery("red", {"a": 1}, set())], index, model, vocab, TC, k=5)
         assert settled == ([1] if beyond else [1, 2])
         assert got.per_query["matching_mrr"] == [1 / 3]
+
+
+class TestRankRows:
+    """rank_rows gives each query the ascending positions of its rows in the
+    full (score desc, row asc) order of score_rows over every row, whatever
+    the ties, with the queries screened over several blocks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(5, 60),
+        kind=st.sampled_from(["tied", "twin", "untied"]),
+        per_block=st.integers(1, 3),  # queries per block: 3 blocks or more of 9 queries
+    )
+    @example(seed=0, size=17, kind="tied", per_block=1)
+    def test_equals_positions_of_the_full_scan(self, model_vocab, seed, size, kind, per_block):
+        model, vocab = model_vocab
+        if kind == "tied":
+            index = tied_index(seed, size, model, vocab)
+        elif kind == "twin":
+            index = twin_index(seed, size, model.n, last=seed % 2 == 0)[0]
+        else:
+            index = untied_index(seed, size, model.n)
+        rng = np.random.default_rng(seed)
+        qvecs = rng.normal(size=(9, model.n))
+        qvecs[:3] = index.matrix[rng.integers(0, size, size=3)]  # a catalog row ties with its copies
+        qvecs[3] = 0.0  # every row ties
+        rows = [rng.choice(size, size=rng.integers(1, 5), replace=False) for _ in qvecs]
+        rows[4] = np.zeros(0, dtype=np.intp)  # every purchase missing from the index
+        with mock.patch.object(index_mod, "_SCORE_BLOCK", per_block * size):
+            got = rank_rows(qvecs, rows, index)
+        want = [sorted(positions(score_rows(index.matrix, q), r).tolist()) for q, r in zip(qvecs, rows)]
+        assert got == want
 
 
 def ranking_queries(seed, ids):
