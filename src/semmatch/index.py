@@ -18,7 +18,10 @@ from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 _IDX_MAGIC = b"SMINDEX4"
 _IDX_VERSION = 4
 _IDX_HEADER = struct.Struct("<IQIQ32s")  # version, count, n, id width, model fingerprint
-_EMBED_FLOATS = 2**18  # floats gathered per pooled block: (rows, L, N) stays near 2 MB
+# Bags per embedded block: rows * L * N stays within this, so the floats a
+# block pools (read slot by slot, or gathered at once below
+# model._POOL_BAGS bags) stay near 2 MB.
+_EMBED_FLOATS = 2**18
 _SCORE_BLOCK = 2**20  # screen scores per matrix product in rank_rows: 4 MB of float32
 # Screened queries have norms up to this. A screen row's squared norm is a
 # finite float32, so its norm is below 2**64, and every float32 sum of a

@@ -126,17 +126,45 @@ class EmbeddingModel:
         return params
 
 
+# Calls of at least this many bags pool one slot column at a time, smaller
+# ones gather their used columns at once. The loop pays a fixed cost per
+# column (one fancy index and one add), the gather a cost per float of its
+# (B, L, N) temporary. Timed on the benchmark workloads' seed-1 records
+# (N = 64, numpy 2.4.6, 2 vCPUs), the two break even at 20-48 bags of 8-12
+# slots and at 48-64 bags of 40-80 slots. Below that the loop is up to 7x
+# slower (one 80-slot bag: 124 us against 18), at 250 bags up to 2.3x
+# faster.
+_POOL_BAGS = 48
+
+
 def pool_batch(ids: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average the embedding rows of the non-zero ids of each bag.
 
-    Row 0 is all zeros, so summing over every slot and dividing by the
-    non-zero count is the masked mean. All-padding bags pool to zero.
+    Row 0 is all zeros, so summing each bag's slots in order and dividing by
+    the non-zero count is the masked mean. All-padding bags pool to zero.
+
+    Only the slots up to the call's last column holding a non-padding id are
+    read: a call of _POOL_BAGS bags or more adds them one slot column at a
+    time, a smaller one gathers them at once. Both sums start from +0.0, as
+    numpy's sum over all slots does, so no sum is -0.0 and each skipped
+    padding slot, which would add +0.0, changes no bit: a bag pools to the
+    same bytes in a call of any size or width. With N = 1 numpy would sum a
+    gathered (B, L, 1) along its contiguous slot axis pairwise, so one
+    column always takes the loop and every sum runs in slot order.
     """
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= matrix.shape[0]:
         raise ValueError("token id out of embedding-matrix bounds")
-    counts = np.count_nonzero(ids, axis=1)
-    summed = matrix[ids].sum(axis=1)
+    filled = ids != 0
+    counts = filled.sum(axis=1)
+    used = np.flatnonzero(filled.any(axis=0))
+    width = used[-1] + 1 if used.size else 0
+    if len(ids) < _POOL_BAGS and matrix.shape[1] > 1:
+        summed = matrix[ids[:, :width]].sum(axis=1)
+    else:
+        summed = np.zeros((len(ids), matrix.shape[1]))
+        for slot in range(width):
+            summed += matrix[ids[:, slot]]
     pooled = summed / np.maximum(counts, 1)[:, None]
     return pooled, counts
 
@@ -185,8 +213,9 @@ def normalize_batch(
 
 def embed_batch(ids: np.ndarray, arm: str, model: EmbeddingModel, block: int) -> np.ndarray:
     """Inference-phase embeddings of one arm's bags, pooled and normalized
-    `block` bags at a time, so the gather never exceeds (block, L, N)
-    floats. An empty bag embeds as a zero row."""
+    `block` bags at a time, so the temporaries stay a block's (block, N)
+    floats, or its (block, L, N) gather below _POOL_BAGS bags. An empty
+    bag embeds as a zero row."""
     matrix, _ = model.arm(arm)
     out = np.empty((len(ids), model.n), dtype=np.float64)
     for start in range(0, len(ids), block):
@@ -406,7 +435,9 @@ def save_model(model: EmbeddingModel, f: BinaryIO) -> None:
 
 def load_model(f: BinaryIO) -> EmbeddingModel:
     """Read a checkpoint written by save_model, starting at f's position. A
-    file shorter or longer than its header implies raises ValueError.
+    file shorter or longer than its header implies raises ValueError, and so
+    does an embedding row 0 that is not all zeros: pooling skips trailing
+    padding slots, which is exact only while the padding row adds nothing.
 
     Once every size check has passed, the embedding matrices of a file are
     mapped copy-on-write (see atomic.read_matrices), so a query reads only
@@ -433,6 +464,9 @@ def load_model(f: BinaryIO) -> EmbeddingModel:
     rows, arms = v + bins + 1, 1 if shared else 2
     expect_size(f, 8 * (rows * n * arms + 8 * n) + _DIGEST_SIZE, "checkpoint")
     matrices = read_matrices(f, arms, (rows, n))
+    for name, matrix in zip(("shared",) if shared else ("query", "product"), matrices):
+        if matrix[0].any():
+            raise ValueError(f"checkpoint {name} embedding row 0 (padding) is not all zeros")
     qm, pm = matrices[0], matrices[-1]  # one object for shared arms
     norm_q, norm_p = (NormState(*(read_array(f, (n,)) for _ in range(4))) for _ in range(2))
     model = EmbeddingModel(cfg, qm, pm, norm_q, norm_p, v, bins)

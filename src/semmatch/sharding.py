@@ -66,10 +66,12 @@ def simulate(
     bag or a zero-norm side score 0. Layer normalization couples dimensions
     across shard boundaries and is rejected.
 
-    Both arms are embedded over all k columns, ceil(B/n) bags at a time, so
-    the gather stays one shard's (B, L, k/n) share. Pooling and inference
-    normalization act per dimension, so any column block of the result is
-    what pooling and normalizing that block of columns alone gives.
+    Both arms are embedded over all k columns, ceil(B/n) bags at a time:
+    a block of model._POOL_BAGS bags or more pools slot by slot over its
+    used width, so none of its temporaries exceeds (ceil(B/n), k) floats.
+    Pooling and inference normalization act per dimension, so any column
+    block of the result is what pooling and normalizing that block of
+    columns alone gives.
     """
     if plan.k != model.n:
         raise ValueError("plan dimension does not match model embedding dimension")

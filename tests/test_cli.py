@@ -777,7 +777,9 @@ class TestCorruptArtifacts:
     and by `semmatch train`.
 
     An index row that is not finite, or too large for float32, loads, and
-    `query` rejects it with one `error:` line naming its product.
+    `query` rejects it with one `error:` line naming its product. A
+    checkpoint whose embedding row 0, the padding row, is not all zeros is
+    rejected by the loader.
 
     Not detected: any other bit flip inside the float payload (the index
     matrix, the embeddings and normalization state), in the checkpoint's
@@ -846,6 +848,14 @@ class TestCorruptArtifacts:
         path.write_bytes(bytes(blob))
         status, err = run_quiet(query_args(cfg, paths, index=path))
         assert (status, err) == (1, [f"error: product {pid!r}: its embedding {reason}"])
+
+    def test_padding_row_not_zero(self, derived):
+        """A checkpoint whose embedding row 0 holds a non-zero float is
+        rejected: pooling would add it to every bag shorter than its call."""
+        blob = bytearray(derived[1]["model.bin"].read_bytes())
+        struct.pack_into("<d", blob, 52 + 8 * 3, 0.5)  # after the 52 bytes of magic and header
+        message = "checkpoint shared embedding row 0 (padding) is not all zeros"
+        assert self.run_damaged(derived, "model.bin", bytes(blob)) == (1, [f"error: {message}"])
 
     @staticmethod
     def run_damaged(derived, name, damaged):

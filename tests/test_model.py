@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norm_oracle import oracle_norm_backward, oracle_normalize
+from pool_oracle import oracle_pool_batch
 from semmatch.model import (
+    _POOL_BAGS,
     EmbeddingModel,
     ModelConfig,
     NormState,
@@ -75,6 +77,73 @@ class TestPooling:
         vec = embed_bag(bag, "query", model)
         pooled, _ = pool_batch(bag.ids[None, :], model.query_matrix)
         np.testing.assert_array_equal(vec, pooled[0])
+
+
+def draw_call(data, dims=(2, 3, 64, 65)):
+    """A (B, L) call of ids and an N-column matrix for it: bags of random
+    length up to the call's drawn width, some with padding mid-bag, some all
+    padding (and every one when the width is 0). Row 0 is +0.0 or -0.0 and
+    row 1 is -0.0, so the sign of a zero sum shows whether the sum started
+    from +0.0; rows span twelve orders of magnitude, so the order of the
+    adds shows in the bits."""
+    bags = data.draw(st.integers(1, 300), label="bags")
+    slots = data.draw(st.integers(1, 130), label="slots")
+    n = data.draw(st.sampled_from(dims), label="n")
+    width = data.draw(st.integers(0, slots), label="width")
+    mid = data.draw(st.sampled_from([0.0, 0.3]), label="mid-bag padding share")
+    high = data.draw(st.sampled_from([2, 3, 50]), label="ids below")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    matrix = rng.normal(size=(50, n)) * 10.0 ** rng.integers(-6, 7, size=(50, 1))
+    matrix[0] = data.draw(st.sampled_from([0.0, -0.0]), label="padding row")
+    matrix[1] = -0.0
+    ids = rng.integers(1, high, size=(bags, slots))
+    ids[np.arange(slots) >= rng.integers(0, width + 1, size=(bags, 1))] = 0
+    ids[rng.random(ids.shape) < mid] = 0
+    return ids, matrix
+
+
+class TestPoolingOracle:
+    """pool_batch reads a call's slots only up to its last non-padding
+    column, one column at a time from _POOL_BAGS bags up; it matches the
+    full gather in tests/pool_oracle.py to the byte. With one column the
+    full gather sums pairwise and pool_batch in slot order, so there only
+    the agreement between calls is tested."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_gather(self, data):
+        ids, matrix = draw_call(data)
+        pooled, counts = pool_batch(ids, matrix)
+        expected, expected_counts = oracle_pool_batch(ids, matrix)
+        assert pooled.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(counts, expected_counts)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bag_pools_alike_alone_and_in_any_call(self, data):
+        ids, matrix = draw_call(data, dims=(1, 2, 3, 64, 65))
+        bag = data.draw(st.integers(0, len(ids) - 1), label="bag")
+        start = data.draw(st.integers(0, bag), label="start")
+        stop = data.draw(st.integers(bag + 1, len(ids)), label="stop")
+        extra = data.draw(st.integers(0, 3), label="extra padding columns")
+        alone = pool_batch(ids[bag : bag + 1], matrix)[0][0].tobytes()
+        assert pool_batch(ids, matrix)[0][bag].tobytes() == alone
+        assert pool_batch(ids[start:stop], matrix)[0][bag - start].tobytes() == alone
+        wider = np.pad(ids[start:stop], ((0, 0), (0, extra)))
+        assert pool_batch(wider, matrix)[0][bag - start].tobytes() == alone
+
+    @pytest.mark.parametrize("bags", [1, _POOL_BAGS - 1, _POOL_BAGS, 300])
+    def test_trailing_padding_columns_not_read(self, bags):
+        """With every bag full up to the call's width, a NaN row 0 is never
+        read: only the skipped columns hold padding."""
+        rng = np.random.default_rng(bags)
+        matrix = rng.normal(size=(30, 8))
+        matrix[0] = 0.0
+        ids = np.zeros((bags, 12), dtype=np.int64)
+        ids[:, :5] = rng.integers(1, 30, size=(bags, 5))
+        expected, _ = oracle_pool_batch(ids, matrix)
+        matrix[0] = np.nan
+        assert pool_batch(ids, matrix)[0].tobytes() == expected.tobytes()
 
 
 class TestCosine:
@@ -420,6 +489,20 @@ class TestCheckpoint:
         assert loaded.checkpoint_digest == blob[-32:] == model_fingerprint(model)
         assert model_fingerprint(loaded) == loaded.checkpoint_digest
 
+    @pytest.mark.parametrize("shared,arm", [(True, "shared"), (False, "query"), (False, "product")])
+    @pytest.mark.parametrize("value", [1e-300, float("-inf"), float("nan")])
+    def test_padding_row_not_zero_rejected(self, shared, arm, value):
+        """Pooling skips trailing padding slots, which is exact only while
+        row 0 is all zeros. A -0.0 adds nothing either and loads."""
+        model = make_model(shared=shared)
+        arm_name = "product" if arm == "product" else "query"
+        matrix = model.arm(arm_name)[0]
+        matrix[0, -1] = value
+        with pytest.raises(ValueError, match=rf"^checkpoint {arm} embedding row 0 \(padding\) is not all zeros$"):
+            load_model(io.BytesIO(serialize_model(model)))
+        matrix[0, -1] = -0.0
+        assert load_model(io.BytesIO(serialize_model(model))).arm(arm_name)[0][0, -1] == 0.0
+
     def test_loaded_arrays_owned_and_writable(self):
         loaded = load_model(io.BytesIO(serialize_model(make_model(shared=False, norm="batch"))))
         for a in (loaded.query_matrix, loaded.product_matrix, loaded.norm_query.gamma,
@@ -472,6 +555,13 @@ class TestMappedCheckpoint:
             loaded = load_model(f)
         assert serialize_model(loaded) == serialize_model(model)
         assert model_fingerprint(loaded) == loaded.checkpoint_digest
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_padding_row_not_zero_rejected(self, tmp_path, shared):
+        model = make_model(shared=shared, seed=5)
+        model.product_matrix[0, 0] = 1.0
+        with open(self.write(tmp_path, model), "rb") as f, pytest.raises(ValueError, match="row 0"):
+            load_model(f)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_writes_stay_private(self, tmp_path, shared):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sharding_oracle
@@ -273,17 +273,15 @@ class TestAgainstOracle:
 
 
 class TestPoolingPerColumnBlock:
-    """simulate pools full rows once and hands each shard its columns; for
-    blocks of two or more columns that is exact, because pooling the block
-    alone gives the same bytes. A one-column block (k = n) is reduced along
-    a contiguous axis, where numpy sums pairwise, so it can differ in the
-    last bit; the oracle test covers it within 1e-12."""
+    """simulate pools full rows once and hands each shard its columns;
+    that is exact, because pooling the block alone gives the same bytes:
+    pool_batch sums every column in slot order, a one-column block (k = n)
+    too."""
 
     @given(st.sampled_from([3, 8, 12, 40, 80]), st.sampled_from([8, 64, 256]),
            st.sampled_from([1, 2, 4, 8]), st.integers(1, 24), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_column_block_and_row_block_pool_bytes_equal(self, length, k, n, bags, seed):
-        assume(k // n >= 2)
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(60, k))
         matrix[0] = 0.0
