@@ -18,10 +18,12 @@ from .tokenizer import TokenizerConfig, Vocabulary, encode_batch
 _IDX_MAGIC = b"SMINDEX4"
 _IDX_VERSION = 4
 _IDX_HEADER = struct.Struct("<IQIQ32s")  # version, count, n, id width, model fingerprint
-# Bags per embedded block: rows * L * N stays within this, so the floats a
-# block pools (read slot by slot, or gathered at once below
-# model._POOL_BAGS bags) stay near 2 MB.
-_EMBED_FLOATS = 2**18
+# Bags per embedded block. Medians of build_index on the benchmark's seed-1
+# catalogs (2 vCPUs, one BLAS thread): one call over the whole catalog took
+# 37, 120 and 102 ms on train-std, rich-oov and serve-large, blocks of 256
+# to 1024 bags 26-27, 103-104 and 74-77 ms, blocks of 64 bags 31, 117 and
+# 87 ms.
+_EMBED_BAGS = 256
 _SCORE_BLOCK = 2**20  # screen scores per matrix product in rank_rows: 4 MB of float32
 # Screened queries have norms up to this. A screen row's squared norm is a
 # finite float32, so its norm is below 2**64, and every float32 sum of a
@@ -166,24 +168,19 @@ def _embed_texts(
     config: TokenizerConfig,
     names: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Inference-phase unit embeddings; empty bags embed as zero rows. An
-    embedding that is not finite raises ValueError naming its text, or its
-    entry of `names` (product ids)."""
-    if not texts:
-        return np.zeros((0, model.n), dtype=np.float64)
+    """Inference-phase unit embeddings, _EMBED_BAGS bags at a time; empty
+    bags embed as zero rows. An embedding that is not finite raises
+    ValueError naming its text, or its entry of `names` (product ids)."""
     ids = encode_batch(texts, side, vocab, config)
-    block = max(1, _EMBED_FLOATS // (ids.shape[1] * model.n))
-    out = embed_batch(ids, side, model, block)
-    # Scaled to unit rows in place, a block at a time: np.linalg.norm over
-    # all of `out` would allocate a temporary of its size.
-    for start in range(0, len(out), block):
-        rows = out[start : start + block]
+    out = np.empty((len(ids), model.n), dtype=np.float64)
+    for start in range(0, len(ids), _EMBED_BAGS):
+        rows = embed_batch(ids[start : start + _EMBED_BAGS], side, model)
         norms = np.linalg.norm(rows, axis=1)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             name = (names or texts)[start + bad[0]]
             raise ValueError(f"{side} {name!r}: its embedding is not finite")
-        rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        np.divide(rows, np.where(norms > 0.0, norms, 1.0)[:, None], out=out[start : start + _EMBED_BAGS])
     return out
 
 

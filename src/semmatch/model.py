@@ -211,19 +211,13 @@ def normalize_batch(
     return state.gamma * xhat + state.beta, _NormCache(axis, xhat, std, state.gamma)
 
 
-def embed_batch(ids: np.ndarray, arm: str, model: EmbeddingModel, block: int) -> np.ndarray:
-    """Inference-phase embeddings of one arm's bags, pooled and normalized
-    `block` bags at a time, so the temporaries stay a block's (block, N)
-    floats, or its (block, L, N) gather below _POOL_BAGS bags. An empty
-    bag embeds as a zero row."""
-    matrix, _ = model.arm(arm)
-    out = np.empty((len(ids), model.n), dtype=np.float64)
-    for start in range(0, len(ids), block):
-        pooled, counts = pool_batch(ids[start : start + block], matrix)
-        normed, _ = normalize_batch(pooled, arm, model, "infer")
-        normed[counts == 0] = 0.0
-        out[start : start + block] = normed
-    return out
+def embed_batch(ids: np.ndarray, arm: str, model: EmbeddingModel) -> np.ndarray:
+    """Inference-phase embeddings of one arm's bags, pooled and normalized in
+    one call. An empty bag embeds as a zero row."""
+    pooled, counts = pool_batch(ids, model.arm(arm)[0])
+    normed, _ = normalize_batch(pooled, arm, model, "infer")
+    normed[counts == 0] = 0.0
+    return normed
 
 
 def _norm_backward(

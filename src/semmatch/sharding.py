@@ -66,12 +66,12 @@ def simulate(
     bag or a zero-norm side score 0. Layer normalization couples dimensions
     across shard boundaries and is rejected.
 
-    Both arms are embedded over all k columns, ceil(B/n) bags at a time:
-    a block of model._POOL_BAGS bags or more pools slot by slot over its
-    used width, so none of its temporaries exceeds (ceil(B/n), k) floats.
-    Pooling and inference normalization act per dimension, so any column
-    block of the result is what pooling and normalizing that block of
-    columns alone gives.
+    Each arm is embedded over all k columns in one embed_batch call: a call
+    of model._POOL_BAGS bags or more pools slot by slot over its used width,
+    so its temporaries are (B, k) floats, as the embeddings are. Pooling and
+    inference normalization act per dimension, so any column block of the
+    result is what pooling and normalizing that block of columns alone
+    gives.
     """
     if plan.k != model.n:
         raise ValueError("plan dimension does not match model embedding dimension")
@@ -81,9 +81,8 @@ def simulate(
     batch = len(q_ids)
     if len(p_ids) != batch:
         raise ValueError(f"{batch} query bags but {len(p_ids)} product bags")
-    block = max(1, -(-batch // plan.n))
-    a = embed_batch(q_ids, "query", model, block)
-    b = embed_batch(p_ids, "product", model, block)
+    a = embed_batch(q_ids, "query", model)
+    b = embed_batch(p_ids, "product", model)
     totals = shard_partials(a[:, plan.owned(0)], b[:, plan.owned(0)])
     for s in range(1, plan.n):
         totals += shard_partials(a[:, plan.owned(s)], b[:, plan.owned(s)])

@@ -17,7 +17,10 @@ from semmatch.model import embed_batch
 
 def oracle_embed(texts, side, model, vocab, config):
     """Unit embeddings of texts encoded one at a time, pooled one bag at a time."""
-    out = embed_batch(encode_oracle.encode_batch(texts, side, vocab, config), side, model, 1)
+    ids = encode_oracle.encode_batch(texts, side, vocab, config)
+    out = np.zeros((len(ids), model.n))
+    for i in range(len(ids)):
+        out[i] = embed_batch(ids[i : i + 1], side, model)[0]
     norms = np.linalg.norm(out, axis=1)
     return out / np.where(norms > 0.0, norms, 1.0)[:, None]
 

@@ -3,6 +3,7 @@
 import io
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ CATALOG = [
     ("P4", "red hat"),
     ("P5", "blue coat warm"),
 ]
+# Catalog words and words missing from its vocabulary, which hash into
+# OOV bins.
+BLOCK_WORDS = ["red", "blue", "green", "shoe", "hat", "coat", "warm", "purple", "scarf", "x1"]
 
 
 # Pieces of ids: shared prefixes, UTF-8 sequences of 1 to 4 bytes, and é
@@ -65,11 +69,15 @@ def records(ids):
     return b"".join(e.ljust(width, b"\0") for e in encoded), width
 
 
-@pytest.fixture
-def setup():
+def catalog_vocabulary():
     rows = [("product", text) for _, text in CATALOG]
     rows += [("query", "red shoe"), ("query", "warm coat")]
-    vocab = build_vocabulary(rows, TC)
+    return build_vocabulary(rows, TC)
+
+
+@pytest.fixture
+def setup():
+    vocab = catalog_vocabulary()
     cfg = ModelConfig(embedding_dim=16, shared_embeddings=True, normalization="none")
     model = init_model(vocab.v, vocab.oov_bins, cfg, np.random.default_rng(0))
     index = build_index(CATALOG, model, vocab, TC)
@@ -120,14 +128,31 @@ class TestBuildIndex:
         assert index.fingerprint == model_fingerprint(model)
 
     @pytest.mark.parametrize("norm", ["none", "batch", "layer"])
-    def test_blocked_embedding_bitwise(self, setup, monkeypatch, norm):
-        vocab, _, _ = setup
-        cfg = ModelConfig(embedding_dim=16, shared_embeddings=True, normalization=norm)
-        model = init_model(vocab.v, vocab.oov_bins, cfg, np.random.default_rng(1))
-        texts = [text for _, text in CATALOG] * 3 + ["", "warm red"]
-        whole = _embed_texts(texts, "product", model, vocab, TC)
-        monkeypatch.setattr(index_mod, "_EMBED_FLOATS", 4 * TC.product_max_tokens * 16)  # 4 rows
-        blocked = _embed_texts(texts, "product", model, vocab, TC)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        block=st.integers(1, 300),
+        shared=st.booleans(),
+        pool=st.lists(st.lists(st.sampled_from(BLOCK_WORDS), max_size=10).map(" ".join), min_size=1, max_size=12),
+        count=st.integers(0, 700),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_embedding_bitwise(self, norm, block, shared, pool, count, seed):
+        """Blocks of any size, on either side of model._POOL_BAGS, embed the
+        bytes of one whole call. The texts repeat a few drawn ones and the
+        empty one, so equal texts land in different blocks."""
+        vocab = catalog_vocabulary()
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(embedding_dim=16, shared_embeddings=shared, normalization=norm)
+        model = init_model(vocab.v, vocab.oov_bins, cfg, rng)
+        for state in (model.norm_query, model.norm_product):
+            state.running_mean[:] = rng.normal(size=16)
+            state.beta[:] = rng.normal(size=16)
+        pool = pool + [""]
+        texts = [pool[i] for i in rng.integers(len(pool), size=count)]
+        with mock.patch.object(index_mod, "_EMBED_BAGS", count + 1):
+            whole = _embed_texts(texts, "product", model, vocab, TC)
+        with mock.patch.object(index_mod, "_EMBED_BAGS", block):
+            blocked = _embed_texts(texts, "product", model, vocab, TC)
         assert blocked.tobytes() == whole.tobytes()
 
     def test_empty_text_embeds_zero(self, setup):

@@ -203,22 +203,21 @@ class TestBatchPartials:
         want = totals[:, 0] / (np.sqrt(totals[:, 1]) * np.sqrt(totals[:, 2]))
         assert scores.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("pairs", [0, 1, 7, 8, 9, 41])
-    def test_gather_is_at_most_one_shard_share_of_bags(self, monkeypatch, pairs):
+    @pytest.mark.parametrize("pairs", [0, 1, 7, 8, 9, 41, 300])
+    def test_each_arm_pools_in_one_call(self, monkeypatch, pairs):
         model = make_model(16)
         rng = np.random.default_rng(6)
         q = rng.integers(1, 61, size=(pairs, 3))
         p = rng.integers(1, 61, size=(pairs, 5))
-        blocks = []
+        calls = []
 
         def spy(ids, matrix):
-            blocks.append(len(ids))
+            calls.append(len(ids))
             return pool_batch(ids, matrix)
 
         monkeypatch.setattr(model_mod, "pool_batch", spy)
         simulate(ShardPlan(n=4, k=16), q, p, model)
-        assert all(size <= -(-pairs // 4) for size in blocks)
-        assert sum(blocks) == 2 * pairs
+        assert calls == [pairs, pairs]
 
 
 @st.composite
@@ -273,15 +272,17 @@ class TestAgainstOracle:
 
 
 class TestPoolingPerColumnBlock:
-    """simulate pools full rows once and hands each shard its columns;
-    that is exact, because pooling the block alone gives the same bytes:
-    pool_batch sums every column in slot order, a one-column block (k = n)
-    too."""
+    """simulate pools each arm's full rows in one call and hands each shard
+    its columns; that is exact, because pooling the column block alone gives
+    the same bytes: pool_batch sums every column in slot order, a one-column
+    block (k = n) too. Pooling a block of rows alone, as index._embed_texts
+    does, gives their bytes of the whole call as well."""
 
     @given(st.sampled_from([3, 8, 12, 40, 80]), st.sampled_from([8, 64, 256]),
-           st.sampled_from([1, 2, 4, 8]), st.integers(1, 24), st.integers(0, 2**32 - 1))
+           st.sampled_from([1, 2, 4, 8]), st.integers(1, 24), st.integers(1, 24),
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_column_block_and_row_block_pool_bytes_equal(self, length, k, n, bags, seed):
+    def test_column_block_and_row_block_pool_bytes_equal(self, length, k, n, bags, block, seed):
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(60, k))
         matrix[0] = 0.0
@@ -293,7 +294,6 @@ class TestPoolingPerColumnBlock:
             dims = plan.owned(s)
             alone, _ = pool_batch(ids, np.ascontiguousarray(matrix[:, dims]))
             assert full[:, dims].tobytes() == alone.tobytes()
-        block = -(-bags // n)
         blocked = np.concatenate(
             [pool_batch(ids[i : i + block], matrix)[0] for i in range(0, bags, block)])
         assert blocked.tobytes() == full.tobytes()

@@ -601,13 +601,19 @@ PINNED_CHECKPOINTS = [
 ]
 
 
-@pytest.mark.parametrize("shared, norm, digest", PINNED_CHECKPOINTS)
-def test_trained_checkpoint_matches_pinned_digest(shared, norm, digest):
+def pinned_model(shared, norm):
+    """The model whose checkpoint PINNED_CHECKPOINTS pins: 30 vocabulary
+    ids, 2 OOV bins and N = 8."""
     recs = make_records(8, queries=50, products=40, rows=900, purchase_share=0.4, max_id=30)
     cfg = ModelConfig(embedding_dim=8, shared_embeddings=shared, normalization=norm)
     model = init_model(30, 2, cfg, np.random.default_rng(0))
     train(recs, model, LossSpec(), TrainConfig(batch_size=64, epochs=3, seed=4))
-    assert hashlib.sha256(serialize_model(model)).hexdigest() == digest
+    return model
+
+
+@pytest.mark.parametrize("shared, norm, digest", PINNED_CHECKPOINTS)
+def test_trained_checkpoint_matches_pinned_digest(shared, norm, digest):
+    assert hashlib.sha256(serialize_model(pinned_model(shared, norm))).hexdigest() == digest
 
 
 class TestPreprocessOracle:
