@@ -211,13 +211,33 @@ def normalize_batch(
     return state.gamma * xhat + state.beta, _NormCache(axis, xhat, std, state.gamma)
 
 
-def embed_batch(ids: np.ndarray, arm: str, model: EmbeddingModel) -> np.ndarray:
-    """Inference-phase embeddings of one arm's bags, pooled and normalized in
-    one call. An empty bag embeds as a zero row."""
+@dataclass
+class _ArmPass:
+    """One arm's bags embedded in one call: the ids, each bag's count of
+    non-padding ids, the normalization cache and the embedded rows."""
+
+    ids: np.ndarray
+    counts: np.ndarray
+    norm_cache: _NormCache | None
+    rows: np.ndarray
+
+
+def _embed(ids: np.ndarray, arm: str, model: EmbeddingModel, phase: str) -> _ArmPass:
+    """Pool one arm's bags and normalize them in `phase`, then write each
+    empty bag as a zero row. This is the one empty-bag rule of the model:
+    a zero row scores +0.0 against any row and gets no cosine gradient,
+    while the bag's pooled zeros still count in the batch statistics."""
+    ids = np.asarray(ids)
     pooled, counts = pool_batch(ids, model.arm(arm)[0])
-    normed, _ = normalize_batch(pooled, arm, model, "infer")
-    normed[counts == 0] = 0.0
-    return normed
+    rows, norm_cache = normalize_batch(pooled, arm, model, phase)
+    rows[counts == 0] = 0.0
+    return _ArmPass(ids, counts, norm_cache, rows)
+
+
+def embed_batch(ids: np.ndarray, arm: str, model: EmbeddingModel) -> np.ndarray:
+    """Inference-phase embeddings of one arm's bags, the rows forward_batch
+    scores: an empty bag embeds as a zero row."""
+    return _embed(ids, arm, model, "infer").rows
 
 
 def _norm_backward(
@@ -247,49 +267,27 @@ def cosine_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    q_ids: np.ndarray
-    p_ids: np.ndarray
-    q_counts: np.ndarray
-    p_counts: np.ndarray
-    q_norm_cache: _NormCache | None
-    p_norm_cache: _NormCache | None
-    a: np.ndarray  # normalized query embeddings
-    b: np.ndarray  # normalized product embeddings
+    """What backward_batch needs of a forward_batch call: each arm's pass,
+    the scores and whether the arms share one matrix."""
+
+    query: _ArmPass
+    product: _ArmPass
     scores: np.ndarray
-    empty: np.ndarray  # bool mask: either side had an empty bag
     shared: bool
 
 
 def forward_batch(
     q_ids: np.ndarray, p_ids: np.ndarray, model: EmbeddingModel, phase: str
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Score a batch of (query, product) bag pairs.
-
-    Pairs where either side pooled to an empty bag score exactly 0 and
-    contribute no cosine gradient (their pooled zeros still participate in
-    batch statistics).
+    """Score a batch of (query, product) bag pairs: the cosine of the rows
+    _embed gives each arm in `phase`, the rows embed_batch gives at
+    inference. An empty bag's row is zero, so cosine_batch's zero-norm guard
+    scores its pair exactly +0.0 and _cosine_backward gives it no gradient.
     """
-    q_pooled, q_counts = pool_batch(q_ids, model.query_matrix)
-    p_pooled, p_counts = pool_batch(p_ids, model.product_matrix)
-    a, q_nc = normalize_batch(q_pooled, "query", model, phase)
-    b, p_nc = normalize_batch(p_pooled, "product", model, phase)
-    scores = cosine_batch(a, b)
-    empty = (q_counts == 0) | (p_counts == 0)
-    scores = np.where(empty, 0.0, scores)
-    cache = ForwardCache(
-        q_ids=np.asarray(q_ids),
-        p_ids=np.asarray(p_ids),
-        q_counts=q_counts,
-        p_counts=p_counts,
-        q_norm_cache=q_nc,
-        p_norm_cache=p_nc,
-        a=a,
-        b=b,
-        scores=scores,
-        empty=empty,
-        shared=model.config.shared_embeddings,
-    )
-    return scores, cache
+    query = _embed(q_ids, "query", model, phase)
+    product = _embed(p_ids, "product", model, phase)
+    scores = cosine_batch(query.rows, product.rows)
+    return scores, ForwardCache(query, product, scores, model.config.shared_embeddings)
 
 
 @dataclass
@@ -304,10 +302,10 @@ Gradients = dict[str, "np.ndarray | SparseRowGrad"]
 
 
 def _cosine_backward(cache: ForwardCache, dscores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b = cache.a, cache.b
+    a, b = cache.query.rows, cache.product.rows
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
-    ok = (na > 0.0) & (nb > 0.0) & ~cache.empty
+    ok = (na > 0.0) & (nb > 0.0)
     d = np.where(ok, dscores, 0.0)[:, None]
     na_s = np.where(na > 0.0, na, 1.0)[:, None]
     nb_s = np.where(nb > 0.0, nb, 1.0)[:, None]
@@ -369,23 +367,19 @@ def backward_batch(cache: ForwardCache, dscores: np.ndarray) -> Gradients:
     Embedding gradients come back sparse per-row; shared arms accumulate
     both sides into one entry. Row 0 never appears.
     """
-    da, db = _cosine_backward(cache, np.asarray(dscores, dtype=np.float64))
-    dq_pooled, dgamma_q, dbeta_q = _norm_backward(da, cache.q_norm_cache)
-    dp_pooled, dgamma_p, dbeta_p = _norm_backward(db, cache.p_norm_cache)
-    grad_q = _pool_backward(cache.q_ids, cache.q_counts, dq_pooled)
-    grad_p = _pool_backward(cache.p_ids, cache.p_counts, dp_pooled)
+    darms = _cosine_backward(cache, np.asarray(dscores, dtype=np.float64))
     grads: Gradients = {}
+    emb = []
+    for suffix, arm, drows in zip(("_q", "_p"), (cache.query, cache.product), darms):
+        dpooled, dgamma, dbeta = _norm_backward(drows, arm.norm_cache)
+        emb.append(_pool_backward(arm.ids, arm.counts, dpooled))
+        if arm.norm_cache is not None:
+            grads["gamma" + suffix] = dgamma
+            grads["beta" + suffix] = dbeta
     if cache.shared:
-        grads["emb"] = _merge_sparse(grad_q, grad_p)
+        grads["emb"] = _merge_sparse(*emb)
     else:
-        grads["emb_q"] = grad_q
-        grads["emb_p"] = grad_p
-    if cache.q_norm_cache is not None:
-        grads["gamma_q"] = dgamma_q
-        grads["beta_q"] = dbeta_q
-    if cache.p_norm_cache is not None:
-        grads["gamma_p"] = dgamma_p
-        grads["beta_p"] = dbeta_p
+        grads["emb_q"], grads["emb_p"] = emb
     return grads
 
 

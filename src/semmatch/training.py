@@ -47,12 +47,23 @@ def write_records(
 
 def read_records(path: str) -> tuple[int, int, np.ndarray]:
     """Returns (query_max, product_max, structured record array). A file
-    shorter or longer than its header implies raises ValueError."""
+    shorter or longer than its header implies raises ValueError, and so does
+    the first record whose label is neither the purchased nor the impressed
+    code, or whose weight is not finite and positive."""
     with open(path, "rb") as f:
         qmax, pmax, count = read_header(f, _REC_MAGIC, _REC_HEADER, _REC_VERSION, "record file")
         dt = record_dtype(qmax, pmax)
         expect_size(f, count * dt.itemsize, "record file")
         data = read_array(f, (count,), dt)
+    label, weight = data["label"], data["weight"]
+    bad_label = label > int(Label3.IMPRESSED)  # the two codes are 0 and 1
+    bad = bad_label | ~((weight > 0.0) & (weight < math.inf))
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_label[i]:
+            raise ValueError(f"record file record {i}: label {label[i]} is neither "
+                             f"purchased (0) nor impressed (1)")
+        raise ValueError(f"record file record {i}: weight {weight[i]} is not finite and positive")
     return qmax, pmax, data
 
 
@@ -68,13 +79,17 @@ def preprocess_logs(
     """Aggregate identical (query, product, label) triples and write the
     fixed-width binary record file, in sorted triple order. Each side's
     texts are encoded in one batch, which encodes each distinct text once.
+    A product id logged with two texts raises ValueError naming both.
     Returns per-label counters."""
     weights: dict[tuple[str, str, str], float] = {}
     product_text: dict[str, str] = {}
     for rec in logs:
         key = (rec.query, rec.product_id, rec.label)
         weights[key] = weights.get(key, 0.0) + rec.count
-        product_text[rec.product_id] = rec.product_text
+        text = product_text.setdefault(rec.product_id, rec.product_text)
+        if text != rec.product_text:
+            raise ValueError(f"product {rec.product_id!r} logged with two texts: "
+                             f"{text!r} and {rec.product_text!r}")
     if not weights:
         raise ValueError("no usable log rows to preprocess")
 

@@ -423,6 +423,18 @@ class TestErrors:
         assert err[-1].startswith("error: V + B = 100000000") and err[-1].endswith(f"records hold ({MAX_ID})")
         assert not out.exists()
 
+    def test_product_logged_with_two_texts_exits_one(self, derived, tmp_path):
+        cfg, paths = derived
+        logs, out = tmp_path / "logs.tsv", tmp_path / "recs.bin"
+        logs.write_text("red shoe\tP1\tred shoe leather\tpurchased\t1\n"
+                        "blue hat\tP1\tblue hat wool\tpurchased\t1\n")
+        status, err = run_quiet(["preprocess", "--input", logs, "--vocab", paths["vocab.txt"],
+                                 "--config", cfg, "--out", out])
+        message = "product 'P1' logged with two texts: 'red shoe leather' and 'blue hat wool'"
+        assert status == 1
+        assert [line for line in err if line.startswith("error: ")] == err[-1:] == [f"error: {message}"]
+        assert not out.exists()
+
     def test_run_config_oov_bins_differs_from_vocabulary_exits_one(self, derived, tmp_path):
         cfg, paths = derived
         other = tmp_path / "bins.cfg"
@@ -774,7 +786,9 @@ class TestCorruptArtifacts:
     tests/test_model.py try every cut and every header bit on the loaders
     alone. A records.bin cut short anywhere, or with a bit flipped in its
     magic, version, qmax, pmax or count, is rejected alike by read_records
-    and by `semmatch train`.
+    and by `semmatch train`, and so is one whose first bad record holds a
+    label other than purchased (0) or impressed (1), or a weight that is not
+    finite and positive.
 
     An index row that is not finite, or too large for float32, loads, and
     `query` rejects it with one `error:` line naming its product. A
@@ -894,6 +908,25 @@ class TestCorruptArtifacts:
         damaged = bytearray(derived[1]["recs.bin"].read_bytes())
         damaged[bit // 8] ^= 1 << (bit % 8)
         self.assert_records_rejected(derived, bytes(damaged))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("label", 7, "label 7 is neither purchased (0) nor impressed (1)"),
+        ("weight", -5.0, "weight -5.0 is not finite and positive"),
+        ("weight", float("nan"), "weight nan is not finite and positive"),
+    ])
+    def test_records_payload_corrupt(self, derived, field, value, message):
+        """A label or weight damaged inside the records, behind a sound
+        frame: `train` names the record and writes no checkpoint."""
+        path = derived[1]["recs.bin"]
+        _, _, recs = read_records(str(path))
+        recs = recs.copy()
+        row = len(recs) // 2
+        recs[field][row] = value
+        damaged = path.read_bytes()[:REC_HEADER_END] + recs.tobytes()
+        status, err = self.run_damaged(derived, "recs.bin", damaged)
+        assert (status, err) == (1, [f"error: record file record {row}: {message}"])
+        with pytest.raises(ValueError, match=f"record file record {row}: "):
+            read_records(str(path.with_name("damaged-recs.bin")))
 
     @pytest.mark.parametrize("name", sorted(FRAMES))
     def test_frame_faults_worded_alike(self, derived, name):

@@ -19,6 +19,7 @@ from semmatch.model import (
     NormState,
     backward_batch,
     cosine_batch,
+    embed_batch,
     forward_batch,
     _norm_backward,
     load_model,
@@ -337,6 +338,40 @@ class TestForward:
             EmbeddingModel(cfg, m, m.copy(), NormState.fresh(4), NormState.fresh(4), 5, 0)
 
 
+class TestOneEmbedding:
+    """forward_batch embeds each arm as embed_batch does, so at inference it
+    scores the cosine of embed_batch's rows to the byte, empty bags and
+    all-padding calls included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        norm=st.sampled_from(["none", "batch", "layer"]),
+        shared=st.booleans(),
+        b=st.integers(1, 12),
+        widths=st.tuples(st.integers(1, 6), st.integers(1, 9)),
+        empty=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_infer_scores_are_cosine_of_embed_batch(self, norm, shared, b, widths, empty, seed):
+        rng = np.random.default_rng(seed)
+        model = make_model(v=20, bins=5, n=6, shared=shared, norm=norm, seed=seed % 1000)
+        for state in (model.norm_query, model.norm_product):
+            state.gamma[:] = rng.normal(1.0, 0.5, size=6)
+            state.beta[:] = rng.normal(size=6)
+            state.running_mean[:] = rng.normal(size=6)
+            state.running_var[:] = rng.uniform(0.1, 2.0, size=6)
+        q, p = (rng.integers(0, 26, size=(b, w)) for w in widths)
+        for ids in (q, p):
+            ids[rng.random(b) < empty] = 0
+        scores, cache = forward_batch(q, p, model, "infer")
+        a, c = embed_batch(q, "query", model), embed_batch(p, "product", model)
+        assert scores.tobytes() == cosine_batch(a, c).tobytes()
+        assert cache.query.rows.tobytes() == a.tobytes()
+        assert cache.product.rows.tobytes() == c.tobytes()
+        empty_pair = ~q.any(axis=1) | ~p.any(axis=1)
+        assert scores[empty_pair].tobytes() == np.zeros(empty_pair.sum()).tobytes()
+
+
 def fd_gradient_check(model, q, p, dscores, phase="train", h=1e-6):
     """Central finite differences over every trainable parameter entry,
     skipping the frozen padding row 0 of embedding matrices."""
@@ -411,6 +446,79 @@ class TestBackward:
         _, cache = forward_batch(q, p, model, "infer")
         grads = backward_batch(cache, np.array([1.0]))
         assert set(grads["emb"].rows.tolist()) == {1, 2}
+
+
+def pinned_pass_model(shared, norm):
+    """A model whose normalization arrays are all drawn away from their
+    fresh values, so an empty bag normalizes to a row that is not zero
+    before it is written as one."""
+    model = make_model(v=20, bins=5, n=8, shared=shared, norm=norm, seed=5)
+    rng = np.random.default_rng(6)
+    for state in (model.norm_query, model.norm_product):
+        state.gamma[:] = rng.uniform(0.5, 1.5, 8)
+        state.beta[:] = rng.normal(0.0, 0.3, 8)
+        state.running_mean[:] = rng.normal(0.0, 0.1, 8)
+        state.running_var[:] = rng.uniform(0.5, 2.0, 8)
+    return model
+
+
+# (query ids, product ids, dscores) of each pinned batch. In the first, pairs
+# 1-3 hold an empty query bag, an empty product bag and both, the others
+# none; pair 5's ids follow padding and two are OOV bins. In the second,
+# every query bag is empty.
+PASS_BATCHES = [
+    (
+        np.array([[1, 4, 0, 0], [0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 0, 0], [3, 3, 9, 21], [0, 0, 2, 25]]),
+        np.array([[2, 5, 8, 0, 0], [6, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                  [11, 12, 13, 14, 15], [0, 1, 0, 24, 0]]),
+        np.array([0.7, -1.3, 0.4, 2.0, -0.6, 1.1]),
+    ),
+    (np.zeros((2, 3), dtype=np.int64), np.array([[1, 2, 0], [3, 0, 0]]), np.array([1.0, -1.0])),
+]
+
+# sha256 of each batch's forward_batch scores and of every array its
+# backward_batch returns (rows, then values, of a sparse gradient), batch by
+# batch and gradients in name order, pinned before forward and backward
+# shared the inference embedding.
+PINNED_PASSES = [
+    ("none", True, "train", "e8fa9ffec0f9916af66ce5244e733198b9ed9337dd4470d6a0338411c915aaeb"),
+    ("none", True, "infer", "e8fa9ffec0f9916af66ce5244e733198b9ed9337dd4470d6a0338411c915aaeb"),
+    ("none", False, "train", "642e6b8a6e88f0cfab7b22438984b6a0a8a7d36f55edd14a179c827c1862c487"),
+    ("none", False, "infer", "642e6b8a6e88f0cfab7b22438984b6a0a8a7d36f55edd14a179c827c1862c487"),
+    ("batch", True, "train", "8e72d6b494fdfb06bb6c6f928c4028502b91c1fa1cc930fec3a63f9cc87983c4"),
+    ("batch", True, "infer", "5a25ef6702f25cbe31f66090d812094ec6a31331b2109a8b0ef17b21cf91c313"),
+    ("batch", False, "train", "a914de43780c3409b7f47306e846c9b0daacabda767c8b9aaa08f3c468308dce"),
+    ("batch", False, "infer", "47e82ad9bf263f2677841479fed4c5f933e47fb78610399bc0d7c714d3d9b34f"),
+    ("layer", True, "train", "246e9ca1d8626031bedfed0334e39da57ff612e3fb82d395942f7cdb0ff19dd5"),
+    ("layer", True, "infer", "246e9ca1d8626031bedfed0334e39da57ff612e3fb82d395942f7cdb0ff19dd5"),
+    ("layer", False, "train", "56203f07c1974b48de2aa75eb1656b42075898829b5a13213bea59052573bcc1"),
+    ("layer", False, "infer", "56203f07c1974b48de2aa75eb1656b42075898829b5a13213bea59052573bcc1"),
+]
+
+
+def pass_digest(norm, shared, phase):
+    model = pinned_pass_model(shared, norm)
+    digest = hashlib.sha256()
+    for q, p, dscores in PASS_BATCHES:
+        scores, cache = forward_batch(q, p, model, phase)
+        digest.update(scores.tobytes())
+        grads = backward_batch(cache, dscores)
+        for name in sorted(grads):
+            g = grads[name]
+            digest.update(name.encode())
+            for array in (g.rows, g.values) if hasattr(g, "rows") else (g,):
+                digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedPasses:
+    """Forward scores and backward gradients over batches holding empty
+    bags, pinned by digest: the bits of the pairs around an empty one must
+    not move, nor depend on the vector width numpy runs at."""
+
+    @pytest.mark.parametrize("norm, shared, phase, digest", PINNED_PASSES)
+    def test_matches_pinned_digest(self, norm, shared, phase, digest):
+        assert pass_digest(norm, shared, phase) == digest
 
 
 class TestCheckpoint:

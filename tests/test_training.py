@@ -1,5 +1,7 @@
 """Training pipeline tests: record files, epoch sampling, init, ADAM, loop."""
 
+import math
+import re
 import struct
 import tracemalloc
 
@@ -103,6 +105,27 @@ class TestRecordFile:
         with pytest.raises(ValueError, match="size"):
             read_records(str(path))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("label", 7, "label 7 is neither purchased (0) nor impressed (1)"),
+        ("label", int(Label3.RANDOM), "label 2 is neither purchased (0) nor impressed (1)"),
+        ("weight", -5.0, "weight -5.0 is not finite and positive"),
+        ("weight", 0.0, "weight 0.0 is not finite and positive"),
+        ("weight", math.nan, "weight nan is not finite and positive"),
+        ("weight", math.inf, "weight inf is not finite and positive"),
+    ])
+    def test_corrupt_payload_rejected(self, tmp_path, field, value, message):
+        """A label other than the two codes preprocess writes, or a weight
+        that is not finite and positive: the first such record is named."""
+        recs = np.zeros(4, dtype=record_dtype(4, 6))
+        recs["label"] = [0, 1, 0, 1]
+        recs["weight"] = [1.0, 2.0, 3.0, 4.0]
+        recs[field][1] = value
+        recs["label"][3] = 9
+        path = str(tmp_path / "recs.bin")
+        write_records(path, 4, 6, recs)
+        with pytest.raises(ValueError, match=re.escape(f"record file record 1: {message}")):
+            read_records(path)
+
 
 class TestPreprocess:
     def test_aggregation_sums_counts(self, tmp_path):
@@ -144,6 +167,19 @@ class TestPreprocess:
     def test_empty_logs_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             preprocess_logs([], small_vocab(), TC, str(tmp_path / "x.bin"))
+
+    def test_product_logged_with_two_texts_rejected(self, tmp_path):
+        """Keeping one text would give the other rows' queries a bag their
+        product was not logged with."""
+        logs = [
+            LogRecord("red shoe", "P1", "red shoe leather", "purchased", 1),
+            LogRecord("blue hat", "P1", "blue hat wool", "impressed", 1),
+        ]
+        path = tmp_path / "x.bin"
+        message = "product 'P1' logged with two texts: 'red shoe leather' and 'blue hat wool'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            preprocess_logs(logs, small_vocab(), TC, str(path))
+        assert not path.exists()
 
 
 class TestSampleEpoch:

@@ -620,21 +620,24 @@ class TestPreprocessOracle:
     @pytest.mark.parametrize("bins", [0, 50])
     def test_records_file_equals_oracle(self, tmp_path, bins):
         """Queries and products repeat across rows, some rows repeat outright,
-        one product's text changes between rows (the last one is encoded),
-        and the short bags cut long texts."""
+        and the short bags cut long texts. A product whose text changes
+        between rows is rejected."""
         corpus = synth._generate(
             synth.SynthConfig(concepts=12, products=120, queries=60, eval_queries=0, typo_rate=0.1,
                               model_number_rate=0.5, seed=3)
         )
         logs = corpus.train_logs + corpus.train_logs[:40]
         last = logs[-1]
-        logs.append(dataclasses.replace(last, product_text=last.product_text + " restyled", count=2))
+        restyled = dataclasses.replace(last, product_text=last.product_text + " restyled", count=2)
         classes = [UNIGRAM, ngram_class(2), CHAR_TRIGRAM]
         cfg = TokenizerConfig(ngram_orders=(2,), use_char_trigrams=True,
                               budget_per_class=dict.fromkeys(classes, 40), oov_bins=bins,
                               query_max_tokens=12, product_max_tokens=30)
         vocab = build_vocabulary([("query", r.query) for r in logs] + [("product", r.product_text) for r in logs], cfg)
         got_path, want_path = tmp_path / "got.bin", tmp_path / "want.bin"
+        with pytest.raises(ValueError, match=f"product {last.product_id!r} logged with two texts"):
+            preprocess_logs(logs + [restyled], vocab, cfg, str(got_path))
+        assert not got_path.exists()
         got = preprocess_logs(logs, vocab, cfg, str(got_path))
         want = oracle_preprocess_logs(logs, vocab, cfg, str(want_path))
         assert got == want
