@@ -6,6 +6,7 @@ section, and each entry of a dict field is a key: `tokenizer.budget.<class>`.
 """
 
 import dataclasses
+import math
 import typing
 
 from .losses import LossSpec
@@ -25,6 +26,12 @@ class RunConfig:
     seed: int = 0
     eval_k: int = 100
     eval_threshold: float = 0.55
+
+    def __post_init__(self) -> None:
+        if self.eval_k < 1:
+            raise ValueError("k must be >= 1")
+        if math.isnan(self.eval_threshold):
+            raise ValueError("threshold must not be NaN")
 
     def resolved_lines(self) -> list[str]:
         """Every set value as a `key = value` line; they load back to an equal RunConfig."""

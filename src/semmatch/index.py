@@ -47,33 +47,6 @@ def positions(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(ahead, axis=1)
 
 
-def _dot_error(qnorms: np.ndarray, row_norm: float, dim: int, dtype: type) -> np.ndarray:
-    """Per query, a bound on |computed - exact| of `row . q` for every row of
-    norm at most `row_norm`, when the row and q are first rounded to `dtype`
-    and their dot is then summed in `dtype` in any order.
-
-    With u the unit roundoff of `dtype`, rounding moves each component by at
-    most u times itself, and a dot of length dim summed in any order is
-    within gamma_dim * sum |row_j q_j| of the exact dot of what it sums. As
-    (1 + u)**2 * (1 + gamma_dim) <= 1 + gamma_{dim+2}, the three roundings
-    together stay within gamma_{dim+2} * sum |row_j q_j|, at most
-    gamma_{dim+2} * ||q|| * ||row|| (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1 and lemma 3.3, then Cauchy-Schwarz).
-    In float64 the first two roundings do nothing and the bound is slack.
-
-    Underflow adds at most u * 2**emin, half the subnormal spacing, per
-    rounded component and per product. Each norm is raised by
-    t = 2**(emin // 2 + 3), more than underflow can hide from a computed
-    norm: gamma * t * (||q|| + ||row||) covers the components, and
-    gamma * t**2 > 64 * dim * u * 2**emin the products. The 2**-20 margin
-    covers the rounding of the norms and of this formula."""
-    info = np.finfo(dtype)
-    u = float(info.eps) / 2
-    t = 2.0 ** (info.minexp // 2 + 3)
-    gamma = (dim + 2) * u / (1 - (dim + 2) * u) * (1 + 2**-20)
-    return gamma * (qnorms + t) * (row_norm + t)
-
-
 def round32(x: np.ndarray | float, toward: float) -> np.ndarray:
     """x (float64) rounded to float32 toward -inf or +inf, so a float32 at
     least (at most) the result is at least (at most) x. Beyond float32's
@@ -132,14 +105,34 @@ class ProductIndex:
 
     @cached_property
     def screen(self) -> tuple[np.ndarray, float]:
-        """The matrix rounded to float32, and a bound on its largest float64
-        row norm, made on first use in one pass over the matrix. A row that is
-        not finite, or too large for float32 (its float32 squared norm
-        overflows), raises ValueError naming its product.
+        """The matrix rounded to float32, and a factor s: every float32 screen
+        score of a query q (q rounded to float32, the dot summed in float32)
+        is within s * (||q|| + 2**-60) of its score_rows score. Made on first
+        use in one pass over the matrix. A row that is not finite, or too
+        large for float32 (its float32 squared norm overflows), raises
+        ValueError naming its product.
 
-        The bound comes from the float32 squared norms: each is within
-        gamma_dim of the squared norm of the rounded row, which is within u
-        of the row's (see _dot_error); 2**-60 exceeds what underflow hides."""
+        With u_d the unit roundoff of a dtype d, rounding a row and q to d
+        moves each component by at most u_d times itself, and a dot of
+        length N summed in d in any order is within gamma_N * sum |row_j q_j|
+        of the exact dot of what it sums. As (1 + u)**2 * (1 + gamma_N) <=
+        1 + gamma_{N+2}, the computed dot is within gamma_{N+2} * ||q|| *
+        ||row|| of the exact one (Higham, Accuracy and Stability of Numerical
+        Algorithms, section 3.1 and lemma 3.3, then Cauchy-Schwarz).
+        Underflow adds at most u_d * 2**emin, half the subnormal spacing, per
+        rounded component and per product; raising each norm by
+        t_d = 2**(emin // 2 + 3) covers it, as gamma * t_d * (||q|| + ||row||)
+        covers the components and gamma * t_d**2 > 64 * N * u_d * 2**emin the
+        products. The screen score (float32) and score_rows (float64, where
+        rounding the inputs does nothing) are both so bounded against the
+        exact dot, and t_64 = 2**-508 is below t_32 = 2**-60. So for every row
+        of norm at most R they differ by at most s * (||q|| + 2**-60), with
+        s = (gamma_32 + gamma_64) * (R + 2**-60). A 2**-20 margin on each
+        gamma covers the rounding of the norms and of these formulas.
+
+        R bounds the largest row norm from the float32 squared norms: each is
+        within gamma_N of the squared norm of the rounded row, which is
+        within u_32 of the row's; 2**-60 exceeds what underflow hides."""
         with np.errstate(over="ignore", invalid="ignore"):
             rows = self.matrix.astype(np.float32)
             squares = np.einsum("ij,ij->i", rows, rows)
@@ -149,10 +142,12 @@ class ProductIndex:
             reason = "does not fit float32" if finite else "is not finite"
             raise ValueError(f"product {self.ids_at([bad[0]])[0]!r}: its embedding {reason}")
         dim = self.matrix.shape[1]
-        u = float(np.finfo(np.float32).eps) / 2
-        gamma = dim * u / (1 - dim * u)
+        u32, u64 = 2.0**-24, 2.0**-53
+        gamma = dim * u32 / (1 - dim * u32)
         top = float(squares.max(initial=0.0))
-        return rows, (math.sqrt(top / (1 - gamma)) + 2.0**-60) / (1 - u) * (1 + 2**-20)
+        row_norm = (math.sqrt(top / (1 - gamma)) + 2.0**-60) / (1 - u32) * (1 + 2**-20)
+        g32, g64 = ((dim + 2) * u / (1 - (dim + 2) * u) * (1 + 2**-20) for u in (u32, u64))
+        return rows, (g32 + g64) * (row_norm + 2.0**-60)
 
 
 @dataclass
@@ -191,12 +186,14 @@ def build_index(
     config: TokenizerConfig,
 ) -> ProductIndex:
     """Encode, embed, and unit-normalize every catalog product, one row each in
-    ascending product-id order. A duplicate product id, one containing a
+    ascending product-id order. The index is stamped with the model's
+    checkpoint_digest when it was loaded and not trained since, and with
+    model_fingerprint otherwise. A duplicate product id, one containing a
     newline or a NUL, or an embedding that is not finite raises ValueError."""
     catalog = sorted(products, key=operator.itemgetter(0))
     ids = [pid for pid, _ in catalog]
     matrix = _embed_texts([text for _, text in catalog], "product", model, vocab, config, ids)
-    return ProductIndex.from_ids(ids, matrix, model_fingerprint(model))
+    return ProductIndex.from_ids(ids, matrix, model.checkpoint_digest or model_fingerprint(model))
 
 
 def embed_query(
@@ -207,16 +204,15 @@ def embed_query(
 
 def screen_queries(qvecs: np.ndarray, index: ProductIndex) -> tuple[np.ndarray, np.ndarray]:
     """The (queries, N) queries rounded to float32 for index.screen, and per
-    query a bound e on |screen score - score_rows score| of every row: the
-    float32 and the float64 _dot_error added. A query of norm above
-    2**60, or not finite, could overflow float32: it is screened as zeros
-    with e = inf, which keeps every row."""
-    _, row_norm = index.screen
+    query a bound e = s * (||q|| + 2**-60) on |screen score - score_rows
+    score| of every row, with s the factor of index.screen. A query of norm
+    above 2**60, or not finite, could overflow float32: it is screened as
+    zeros with e = inf, which keeps every row."""
+    _, s = index.screen
     qnorms = np.linalg.norm(qvecs, axis=1)
     fits = qnorms <= _SCREEN_QUERY_NORM
-    dim = qvecs.shape[1]
-    e = _dot_error(qnorms, row_norm, dim, np.float32) + _dot_error(qnorms, row_norm, dim, np.float64)
-    return np.where(fits[:, None], qvecs, 0.0).astype(np.float32), np.where(fits, e, np.inf)
+    e = np.where(fits, s * (qnorms + 2.0**-60), np.inf)
+    return np.where(fits[:, None], qvecs, 0.0).astype(np.float32), e
 
 
 def rank_all(
@@ -247,13 +243,8 @@ def rank_all(
         kth = float(np.partition(cand, len(cand) - k)[len(cand) - k])
         rows = rows[cand >= round32(kth - 2 * e, -np.inf)]
     scores = score_rows(index.matrix[rows], query_vec)
-    keep = scores >= threshold
-    rows, scores = rows[keep], scores[keep]
-    if len(rows) > k:
-        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-        keep = scores >= kth
-        rows, scores = rows[keep], scores[keep]
-    order = np.argsort(-scores, kind="stable")[:k]  # rows ascend, so ties keep id order
+    order = np.argsort(-scores, kind="stable")
+    order = order[scores[order] >= threshold][:k]
     return rows[order], scores[order]
 
 

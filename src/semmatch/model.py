@@ -95,7 +95,9 @@ class EmbeddingModel:
         self.vocab_v = vocab_v
         self.oov_bins = oov_bins
         # The digest stored in the checkpoint this model was loaded from, or
-        # None. It equals model_fingerprint(self) until the parameters change.
+        # None. It equals model_fingerprint(self) until the parameters change:
+        # training.train clears it first, and nothing else in the package
+        # changes a model, so build_index stamps it without hashing.
         self.checkpoint_digest: bytes | None = None
 
     @property

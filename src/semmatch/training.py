@@ -348,10 +348,12 @@ def train(
     loss_spec: LossSpec,
     config: TrainConfig,
 ) -> TrainHistory:
-    """Run the sampled-epoch training loop; mutates the model in place.
+    """Run the sampled-epoch training loop; mutates the model in place and
+    first clears its checkpoint_digest, which no longer names it.
 
     An epoch is held as bag codes; each batch gathers its bags from the
     RecordGroups tables just before its forward pass."""
+    model.checkpoint_digest = None
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     states = {name: AdamState.for_param(p) for name, p in params.items()}

@@ -4,6 +4,7 @@ query, lexsort by (score desc, id asc), walk that order for top_k, and score the
 matching metrics over the whole ranked id list. The id order check compares
 the ids as Python strings, one pair at a time."""
 
+import math
 import operator
 
 import numpy as np
@@ -80,3 +81,32 @@ def oracle_matching_eval(queries, index, model, vocab, config, k=100):
         )
     report.finalize()
     return report
+
+
+def _dot_error(qnorms, row_norm, dim, dtype):
+    """Per query, a bound on |computed - exact| of `row . q` for every row of
+    norm at most `row_norm`, when the row and q are first rounded to `dtype`
+    and their dot is then summed in `dtype` in any order: gamma_{dim+2} *
+    (||q|| + t) * (row_norm + t), with t = 2**(emin // 2 + 3) raising each
+    norm past what underflow hides (derived in ProductIndex.screen)."""
+    info = np.finfo(dtype)
+    u = float(info.eps) / 2
+    t = 2.0 ** (info.minexp // 2 + 3)
+    gamma = (dim + 2) * u / (1 - (dim + 2) * u) * (1 + 2**-20)
+    return gamma * (qnorms + t) * (row_norm + t)
+
+
+def oracle_screen_error(qvecs, matrix):
+    """The screen's bound on |screen score - score_rows score| per query as
+    two terms: the float32 and the float64 _dot_error, each with its own
+    underflow allowance, at ProductIndex.screen's bound on the largest row
+    norm; infinite for a query of norm above 2**60 or not finite."""
+    dim = matrix.shape[1]
+    u = float(np.finfo(np.float32).eps) / 2
+    gamma = dim * u / (1 - dim * u)
+    rows = matrix.astype(np.float32)
+    top = float(np.einsum("ij,ij->i", rows, rows).max(initial=0.0))
+    row_norm = (math.sqrt(top / (1 - gamma)) + 2.0**-60) / (1 - u) * (1 + 2**-20)
+    qnorms = np.linalg.norm(qvecs, axis=1)
+    e = _dot_error(qnorms, row_norm, dim, np.float32) + _dot_error(qnorms, row_norm, dim, np.float64)
+    return np.where(qnorms <= 2.0**60, e, np.inf)

@@ -391,6 +391,26 @@ class TestErrors:
         assert (status, err) == (1, ["error: bn_epsilon must be finite and positive"])
         assert not (tmp_path / "model.bin").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("eval.k = 0", "k must be >= 1"),
+        ("eval.threshold = nan", "threshold must not be NaN"),
+    ])
+    @pytest.mark.parametrize("command", ["build-vocab", "preprocess", "train"])
+    def test_bad_eval_setting_exits_one_from_any_command(self, derived, tmp_path, command, line, message):
+        # Each once passed every command but the one that ranks with it.
+        cfg, paths = derived
+        bad = tmp_path / "run.cfg"
+        bad.write_text(cfg.read_text() + line + "\n")
+        given = {
+            "build-vocab": ["--input", paths["data"] / "logs.tsv"],
+            "preprocess": ["--input", paths["data"] / "logs.tsv", "--vocab", paths["vocab.txt"]],
+            "train": ["--records", paths["recs.bin"], "--vocab", paths["vocab.txt"]],
+        }[command]
+        out = tmp_path / "out"
+        status, err = run_quiet([command, *given, "--config", bad, "--out", out])
+        assert (status, err) == (1, [f"error: {message}"])
+        assert not out.exists()
+
     def test_unallocatable_model_exits_one(self, derived, tmp_path):
         # The most OOV bins a vocabulary holds, at dimension 2^16, ask for a
         # 2 PiB embedding matrix, which fails at once.

@@ -24,9 +24,11 @@ from semmatch.index import (
     top_k,
 )
 from semmatch.evaluation import EvalQuery, run_matching_eval, run_ranking_eval
-from semmatch.model import ModelConfig, model_fingerprint
+from semmatch.losses import LossSpec
+from semmatch.model import ModelConfig, load_model, model_fingerprint, save_model
 from semmatch.tokenizer import UNIGRAM, TokenizerConfig, build_vocabulary
-from semmatch.training import init_model
+from semmatch.training import TrainConfig, init_model, train
+from test_training_oracle import make_records
 
 TC = TokenizerConfig(
     budget_per_class={UNIGRAM: 100}, oov_bins=16,
@@ -126,6 +128,38 @@ class TestBuildIndex:
     def test_fingerprint_matches_model(self, setup):
         _, model, index = setup
         assert index.fingerprint == model_fingerprint(model)
+
+    @staticmethod
+    def reloaded(model, tmp_path):
+        path = tmp_path / "model.bin"
+        with open(path, "wb") as f:
+            save_model(model, f)
+        with open(path, "rb") as f:
+            return load_model(f)
+
+    def test_loaded_model_stamps_its_checkpoint_digest(self, setup, tmp_path):
+        """The parameters of a mapped checkpoint are not hashed again, and the
+        index saves the bytes of the model it was saved from."""
+        vocab, model, index = setup
+        loaded = self.reloaded(model, tmp_path)
+        with mock.patch.object(index_mod, "model_fingerprint", wraps=model_fingerprint) as spy:
+            built = build_index(CATALOG, loaded, vocab, TC)
+        spy.assert_not_called()
+        assert built.fingerprint == loaded.checkpoint_digest
+        got, want = io.BytesIO(), io.BytesIO()
+        save_index(built, got)
+        save_index(index, want)
+        assert got.getvalue() == want.getvalue()
+
+    def test_trained_loaded_model_is_hashed(self, setup, tmp_path):
+        vocab, model, _ = setup
+        loaded = self.reloaded(model, tmp_path)
+        digest = loaded.checkpoint_digest
+        recs = make_records(1, queries=10, products=10, rows=200, purchase_share=0.4)
+        train(recs, loaded, LossSpec(), TrainConfig(batch_size=64, epochs=1, seed=0))
+        assert loaded.checkpoint_digest is None
+        built = build_index(CATALOG, loaded, vocab, TC)
+        assert built.fingerprint == model_fingerprint(loaded) != digest
 
     @pytest.mark.parametrize("norm", ["none", "batch", "layer"])
     @settings(max_examples=40, deadline=None)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metric_oracle import mrr, ndcg
-from search_oracle import oracle_embed, oracle_matching_eval, oracle_order, oracle_top_k
+from search_oracle import oracle_embed, oracle_matching_eval, oracle_order, oracle_screen_error, oracle_top_k
 from semmatch import evaluation
 from semmatch import index as index_mod
 from semmatch.evaluation import EvalQuery, MetricReport, run_matching_eval, run_ranking_eval
@@ -509,3 +509,32 @@ class TestScreenBound:
         with mock.patch.object(evaluation, "_embed_texts", lambda *args: np.tile(qvec, (size, 1))):
             got = run_matching_eval(queries, index, model, vocab, TC, k=1)
         assert got.per_query["matching_mrr"] == (1 / rank_of).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 129),
+        size=st.integers(1, 20),
+        n_queries=st.integers(1, 10),
+    )
+    def test_bound_equals_the_two_term_sum(self, seed, dim, size, n_queries):
+        """e is the float32 and the float64 rounding bound added
+        (oracle_screen_error), folded into one factor per index: within one
+        ulp below it and 2**-20 above. Rows and queries span float32's
+        range, from where it flushes them to zero to where a row's squared
+        norm nears overflow and a query's norm passes 2**60; some are zero."""
+        rng = np.random.default_rng(seed)
+
+        def scaled(n, low, high):
+            x = rng.normal(size=(n, dim))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            x[rng.random(n) < 0.2] = 0.0
+            return x * np.exp2(rng.integers(low, high, size=(n, 1)))
+
+        matrix = scaled(size, -160, 63)
+        qvecs = scaled(n_queries, -170, 70)
+        index = ProductIndex.from_ids(ids=[f"p{j:03d}" for j in range(size)], matrix=matrix, fingerprint=b"\0" * 32)
+        _, e = screen_queries(qvecs, index)
+        old = oracle_screen_error(qvecs, matrix)
+        assert np.isinf(e).tolist() == np.isinf(old).tolist()
+        assert np.all(old * (1 - 2**-40) <= e) and np.all(e <= old * (1 + 2**-20))
