@@ -519,10 +519,11 @@ class TestScreenBound:
     )
     def test_bound_equals_the_two_term_sum(self, seed, dim, size, n_queries):
         """e is the float32 and the float64 rounding bound added
-        (oracle_screen_error), folded into one factor per index: within one
-        ulp below it and 2**-20 above. Rows and queries span float32's
-        range, from where it flushes them to zero to where a row's squared
-        norm nears overflow and a query's norm passes 2**60; some are zero."""
+        (oracle_screen_error), folded into one factor per index: at most
+        2**-40 below it, as both round, and 2**-20 above. Rows and queries
+        span float32's range, from where it flushes them to zero to where a
+        row's squared norm nears overflow and a query's norm passes 2**60;
+        some are zero."""
         rng = np.random.default_rng(seed)
 
         def scaled(n, low, high):
